@@ -15,8 +15,7 @@
 #include <vector>
 
 #include "src/obs/registry.h"
-#include "src/workload/browser_client.h"
-#include "src/workload/testbed.h"
+#include "src/workload/open_loop.h"
 
 namespace {
 
@@ -80,56 +79,31 @@ Run RunMode(Mode mode, double rate, sim::Duration duration) {
   tb.InstallProxyRules(tb.EqualSplitRules(0, tb.cfg.backends));
 
   sim::Rng rng(77);
-  sim::Histogram e2e;
-  std::uint64_t failed = 0;
-  std::uint64_t completed = 0;
-  std::vector<std::string> urls;
-  for (const auto& o : tb.catalog->objects()) {
-    urls.push_back(o.url);
-  }
-
+  workload::FetchTally tally;
   // Open-loop request stream; each request picks its target by mode.
-  std::function<void(sim::Time)> schedule = [&](sim::Time when) {
-    if (when > duration) {
-      return;
+  workload::PoissonLoad load(&tb.sim, &rng, rate, [&]() {
+    workload::BrowserClient* client = workload::PickUniform(rng, tb.clients).get();
+    net::IpAddr target = 0;
+    switch (mode) {
+      case Mode::kBaseline:
+        target = tb.backend_ip(static_cast<int>(rng.UniformInt(0, tb.cfg.backends - 1)));
+        break;
+      case Mode::kYoda:
+        target = tb.vip();
+        break;
+      case Mode::kHaproxy:
+        target = tb.proxy_ip(static_cast<int>(rng.UniformInt(0, tb.cfg.baseline_proxies - 1)));
+        break;
     }
-    tb.sim.At(when, [&]() {
-      auto* client =
-          tb.clients[static_cast<std::size_t>(rng.UniformInt(
-                         0, static_cast<std::int64_t>(tb.clients.size()) - 1))].get();
-      net::IpAddr target = 0;
-      switch (mode) {
-        case Mode::kBaseline:
-          target = tb.backend_ip(static_cast<int>(rng.UniformInt(0, tb.cfg.backends - 1)));
-          break;
-        case Mode::kYoda:
-          target = tb.vip();
-          break;
-        case Mode::kHaproxy:
-          target = tb.proxy_ip(
-              static_cast<int>(rng.UniformInt(0, tb.cfg.baseline_proxies - 1)));
-          break;
-      }
-      const std::string& url = urls[static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(urls.size()) - 1))];
-      client->FetchObject(target, 80, url, {}, [&](const workload::FetchResult& r) {
-        if (r.ok) {
-          ++completed;
-          e2e.Add(sim::ToMillis(r.latency));
-        } else {
-          ++failed;
-        }
-      });
-      schedule(tb.sim.now() + sim::FromSeconds(rng.Exponential(1.0 / rate)));
-    });
-  };
-  schedule(sim::Msec(1));
+    workload::FetchRandomObject(tb, rng, client, target, {}, &tally);
+  });
+  load.Start(sim::Msec(1), duration);
   tb.sim.Run();
 
   Run out;
-  out.e2e_ms = e2e.Percentile(50);
-  out.completed = completed;
-  out.failed = failed;
+  out.e2e_ms = tally.latency_ms.Percentile(50);
+  out.completed = tally.ok;
+  out.failed = tally.failed;
   if (mode == Mode::kYoda) {
     // The decomposition comes from the pipeline's own stage histograms,
     // recorded at stage boundaries inside the instances (no bench-local

@@ -16,6 +16,7 @@
 #include "src/obs/registry.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
+#include "src/workload/open_loop.h"
 
 namespace {
 
@@ -45,29 +46,22 @@ RunResult RunLoad(int replicas, double ops_per_server, int servers_n, sim::Durat
   // Open-loop op stream: total rate = per-server rate * N. Each "request"
   // cycles set -> get -> delete on a fresh key, like a flow's lifetime.
   const double total_rate = ops_per_server * servers_n / (replicas == 2 ? 1.0 : 1.0);
-  const double gap_s = 1.0 / total_rate;
   std::uint64_t issued = 0;
-  std::function<void(sim::Time)> schedule = [&](sim::Time when) {
-    if (when > duration) {
-      return;
+  workload::PoissonLoad load(&simulator, &rng, total_rate, [&]() {
+    const std::string key = "flow-" + std::to_string(issued++);
+    switch (issued % 3) {
+      case 0:
+        client.Set(key, std::string(64, 's'), [](bool) {});
+        break;
+      case 1:
+        client.Get(key, [](std::optional<std::string>) {});
+        break;
+      default:
+        client.Delete(key, [](bool) {});
+        break;
     }
-    simulator.At(when, [&, when]() {
-      const std::string key = "flow-" + std::to_string(issued++);
-      switch (issued % 3) {
-        case 0:
-          client.Set(key, std::string(64, 's'), [](bool) {});
-          break;
-        case 1:
-          client.Get(key, [](std::optional<std::string>) {});
-          break;
-        default:
-          client.Delete(key, [](bool) {});
-          break;
-      }
-      schedule(simulator.now() + sim::FromSeconds(rng.Exponential(gap_s)));
-    });
-  };
-  schedule(0);
+  });
+  load.Start(0, duration);
   simulator.Run();
 
   RunResult r;

@@ -14,6 +14,7 @@
 #include "src/obs/registry.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
+#include "src/workload/open_loop.h"
 
 namespace {
 
@@ -34,19 +35,11 @@ double RunAndMeasureCpu(int replicas, double ops_per_server, int servers_n,
   kv::ReplicatingClient client(&simulator, ptrs, cfg);
   sim::Rng rng(99);
 
-  const double total_rate = ops_per_server * servers_n;
-  const double gap_s = 1.0 / total_rate;
   std::uint64_t issued = 0;
-  std::function<void(sim::Time)> schedule = [&](sim::Time when) {
-    if (when > duration) {
-      return;
-    }
-    simulator.At(when, [&]() {
-      client.Set("flow-" + std::to_string(issued++), std::string(64, 's'), [](bool) {});
-      schedule(simulator.now() + sim::FromSeconds(rng.Exponential(gap_s)));
-    });
-  };
-  schedule(0);
+  workload::PoissonLoad load(&simulator, &rng, ops_per_server * servers_n, [&]() {
+    client.Set("flow-" + std::to_string(issued++), std::string(64, 's'), [](bool) {});
+  });
+  load.Start(0, duration);
   simulator.Run();
 
   double total_util = 0;

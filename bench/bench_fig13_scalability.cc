@@ -20,12 +20,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <vector>
 
-#include "src/workload/browser_client.h"
+#include "src/workload/open_loop.h"
 #include "src/workload/parallel_load.h"
 #include "src/workload/scenario.h"
-#include "src/workload/testbed.h"
 
 namespace {
 
@@ -110,39 +108,14 @@ int main(int argc, char** argv) {
   tb.DefineDefaultVipAndStart();
 
   sim::Rng rng(5);
-  std::vector<std::string> urls;
-  for (const auto& o : tb.catalog->objects()) {
-    urls.push_back(o.url);
-  }
-  std::uint64_t ok = 0;
-  std::uint64_t failed = 0;
+  workload::FetchTally tally;
 
   // Open-loop load: 250 req/s per initial instance, doubling at t=10 s.
-  double per_instance_rate = 250;
-  auto total_rate = [&]() { return per_instance_rate * 6; };
-  const sim::Duration kEnd = sim::Sec(30);
-  std::function<void(sim::Time)> schedule = [&](sim::Time when) {
-    if (when > kEnd) {
-      return;
-    }
-    tb.sim.At(when, [&]() {
-      auto* client = tb.clients[static_cast<std::size_t>(
-                                    rng.UniformInt(0, static_cast<std::int64_t>(
-                                                          tb.clients.size()) - 1))].get();
-      const std::string& url = urls[static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(urls.size()) - 1))];
-      client->FetchObject(tb.vip(), 80, url, {}, [&](const workload::FetchResult& r) {
-        if (r.ok) {
-          ++ok;
-        } else {
-          ++failed;
-        }
-      });
-      schedule(tb.sim.now() + sim::FromSeconds(rng.Exponential(1.0 / total_rate())));
-    });
-  };
-  schedule(sim::Msec(1));
-  tb.sim.At(sim::Sec(10), [&]() { per_instance_rate = 500; });
+  workload::PoissonLoad load(&tb.sim, &rng, 250.0 * 6, [&]() {
+    workload::FetchRandomObject(tb, rng, nullptr, tb.vip(), {}, &tally);
+  });
+  load.Start(sim::Msec(1), sim::Sec(30));
+  tb.sim.At(sim::Sec(10), [&]() { load.set_rate(500.0 * 6); });
 
   // Per-second sampler: requests landed per active instance + CPU.
   std::printf("%-8s %-12s %-14s %-12s %-10s\n", "t (s)", "#instances", "req/s/instance",
@@ -167,7 +140,7 @@ int main(int argc, char** argv) {
       if (second % 2 == 0) {
         std::printf("%-8d %-12zu %-14.0f %-12.1f %-10llu\n", second, active.size(), rate,
                     100.0 * cpu / static_cast<double>(active.size()),
-                    static_cast<unsigned long long>(failed));
+                    static_cast<unsigned long long>(tally.failed));
       }
       sample(second + 1);
     });
@@ -180,8 +153,8 @@ int main(int argc, char** argv) {
   std::printf("%-44s %-12s %-12zu\n", "instances after scale-out", "9",
               tb.controller->ActiveInstances().size());
   std::printf("%-44s %-12s %llu/%llu\n", "broken flows during scaling", "0",
-              static_cast<unsigned long long>(failed),
-              static_cast<unsigned long long>(ok + failed));
+              static_cast<unsigned long long>(tally.failed),
+              static_cast<unsigned long long>(tally.ok + tally.failed));
   tb.PrintMetricsSnapshot();
 
   if (x100) {

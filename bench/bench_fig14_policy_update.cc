@@ -9,7 +9,7 @@
 #include <functional>
 #include <vector>
 
-#include "src/workload/testbed.h"
+#include "src/workload/open_loop.h"
 
 namespace {
 
@@ -59,34 +59,11 @@ int main() {
 
   // Load: open loop, 400 req/s.
   sim::Rng rng(3);
-  std::vector<std::string> urls;
-  for (const auto& o : tb.catalog->objects()) {
-    urls.push_back(o.url);
-  }
-  std::uint64_t ok = 0;
-  std::uint64_t failed = 0;
-  const sim::Duration kEnd = sim::Sec(40);
-  std::function<void(sim::Time)> schedule = [&](sim::Time when) {
-    if (when > kEnd) {
-      return;
-    }
-    tb.sim.At(when, [&]() {
-      auto* client = tb.clients[static_cast<std::size_t>(
-                                    rng.UniformInt(0, static_cast<std::int64_t>(
-                                                          tb.clients.size()) - 1))].get();
-      const std::string& url = urls[static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(urls.size()) - 1))];
-      client->FetchObject(tb.vip(), 80, url, {}, [&](const workload::FetchResult& r) {
-        if (r.ok) {
-          ++ok;
-        } else {
-          ++failed;
-        }
-      });
-      schedule(tb.sim.now() + sim::FromSeconds(rng.Exponential(1.0 / 400.0)));
-    });
-  };
-  schedule(sim::Msec(1));
+  workload::FetchTally tally;
+  workload::PoissonLoad load(&tb.sim, &rng, 400.0, [&]() {
+    workload::FetchRandomObject(tb, rng, nullptr, tb.vip(), {}, &tally);
+  });
+  load.Start(sim::Msec(1), sim::Sec(40));
 
   // Sample per-server request shares each second.
   std::printf("%-8s %-8s %-8s %-8s %-8s   %s\n", "t (s)", "Srv-1", "Srv-2", "Srv-3", "Srv-4",
@@ -120,8 +97,8 @@ int main() {
   std::printf("                 20-30 s: 0/.33/.33/.33 | 30-40 s: 0/.25/.25/.50\n");
   std::printf("\n%-40s %-10s %-10s\n", "metric", "paper", "measured");
   std::printf("%-40s %-10s %llu/%llu\n", "broken flows across 3 policy updates", "0",
-              static_cast<unsigned long long>(failed),
-              static_cast<unsigned long long>(ok + failed));
+              static_cast<unsigned long long>(tally.failed),
+              static_cast<unsigned long long>(tally.ok + tally.failed));
   tb.PrintMetricsSnapshot();
   return 0;
 }

@@ -45,7 +45,7 @@
 
 #include "src/net/network.h"
 #include "src/sim/simulator.h"
-#include "src/workload/browser_client.h"
+#include "src/workload/open_loop.h"
 #include "src/workload/parallel_load.h"
 #include "src/workload/testbed.h"
 
@@ -260,38 +260,17 @@ double BenchE2eFlows(int scale, double* out_flows) {
   tb.DefineDefaultVipAndStart();
 
   sim::Rng rng(5);
-  std::vector<std::string> urls;
-  for (const auto& o : tb.catalog->objects()) {
-    urls.push_back(o.url);
-  }
-  std::uint64_t ok = 0;
-  std::uint64_t failed = 0;
-  const double rate = 1500.0 * scale;  // Fig 13 pre-step aggregate is 1500 req/s.
-  const sim::Duration kEnd = sim::Sec(5);
-  std::function<void(sim::Time)> schedule = [&](sim::Time when) {
-    if (when > kEnd) {
-      return;
-    }
-    tb.sim.At(when, [&]() {
-      auto* client =
-          tb.clients[static_cast<std::size_t>(rng.UniformInt(
-                         0, static_cast<std::int64_t>(tb.clients.size()) - 1))].get();
-      const std::string& url = urls[static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(urls.size()) - 1))];
-      client->FetchObject(tb.vip(), 80, url, {}, [&](const workload::FetchResult& r) {
-        if (r.ok) {
-          ++ok;
-        } else {
-          ++failed;
-        }
-      });
-      schedule(tb.sim.now() + sim::FromSeconds(rng.Exponential(1.0 / rate)));
-    });
-  };
+  workload::FetchTally tally;
+  // Fig 13 pre-step aggregate is 1500 req/s.
+  workload::PoissonLoad load(&tb.sim, &rng, 1500.0 * scale, [&]() {
+    workload::FetchRandomObject(tb, rng, nullptr, tb.vip(), {}, &tally);
+  });
   const auto t0 = std::chrono::steady_clock::now();
-  schedule(sim::Msec(1));
+  load.Start(sim::Msec(1), sim::Sec(5));
   tb.sim.Run();
   const double wall = WallSeconds(t0);
+  const std::uint64_t ok = tally.ok;
+  const std::uint64_t failed = tally.failed;
   const double flows = static_cast<double>(ok + failed);
   const double fps = flows / wall;
   std::printf("  e2e_flows (x%d): %.0f flows (%llu ok, %llu failed) in %.3f s -> %.0f flows/s\n",
@@ -342,48 +321,25 @@ double BenchE2eFlowsIntra(int scale, int threads, double* out_flows) {
   workload::Testbed tb(cfg);
   tb.DefineDefaultVipAndStart();
 
-  std::vector<std::string> urls;
-  for (const auto& o : tb.catalog->objects()) {
-    urls.push_back(o.url);
-  }
   // Per-client open-loop generators, each on its client's own shard with its
   // own RNG (a function of the client index only).
   struct ClientLoad {
     explicit ClientLoad(std::uint64_t seed) : rng(seed) {}
     sim::Rng rng;
-    std::uint64_t ok = 0;
-    std::uint64_t failed = 0;
-    std::vector<std::shared_ptr<std::function<void()>>> loops;
+    workload::FetchTally tally;
+    std::unique_ptr<workload::PoissonLoad> load;
   };
   std::vector<std::unique_ptr<ClientLoad>> loads;
   const double rate = 1500.0 * scale / static_cast<double>(tb.clients.size());
-  const sim::Duration kEnd = sim::Sec(5);
   for (std::size_t i = 0; i < tb.clients.size(); ++i) {
     loads.push_back(std::make_unique<ClientLoad>(5 + 0x9e3779b97f4a7c15ULL * i));
     ClientLoad* cl = loads.back().get();
     workload::BrowserClient* client = tb.clients[i].get();
     sim::Simulator* csim = tb.SimFor(tb.OwnerShardOf(client->ip()));
-    auto tick = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak_tick = tick;
-    *tick = [cl, client, csim, &urls, &tb, rate, kEnd, weak_tick]() {
-      if (csim->now() > kEnd) {
-        return;
-      }
-      const std::string& url = urls[static_cast<std::size_t>(
-          cl->rng.UniformInt(0, static_cast<std::int64_t>(urls.size()) - 1))];
-      client->FetchObject(tb.vip(), 80, url, {}, [cl](const workload::FetchResult& r) {
-        if (r.ok) {
-          ++cl->ok;
-        } else {
-          ++cl->failed;
-        }
-      });
-      if (auto self = weak_tick.lock()) {
-        csim->After(sim::FromSeconds(cl->rng.Exponential(1.0 / rate)), *self);
-      }
-    };
-    cl->loops.push_back(tick);
-    csim->At(std::max<sim::Time>(sim::Msec(1), csim->now()), [tick]() { (*tick)(); });
+    cl->load = std::make_unique<workload::PoissonLoad>(csim, &cl->rng, rate, [cl, client, &tb]() {
+      workload::FetchRandomObject(tb, cl->rng, client, tb.vip(), {}, &cl->tally);
+    });
+    cl->load->Start(std::max<sim::Time>(sim::Msec(1), csim->now()), sim::Sec(5));
   }
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -392,8 +348,8 @@ double BenchE2eFlowsIntra(int scale, int threads, double* out_flows) {
   std::uint64_t ok = 0;
   std::uint64_t failed = 0;
   for (const auto& cl : loads) {
-    ok += cl->ok;
-    failed += cl->failed;
+    ok += cl->tally.ok;
+    failed += cl->tally.failed;
   }
   const double flows = static_cast<double>(ok + failed);
   const double fps = flows / wall;

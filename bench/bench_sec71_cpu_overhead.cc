@@ -7,12 +7,9 @@
 // to match HAProxy (the Memcached client was measured to be negligible).
 
 #include <cstdio>
-#include <functional>
 #include <string>
-#include <vector>
 
-#include "src/workload/browser_client.h"
-#include "src/workload/testbed.h"
+#include "src/workload/open_loop.h"
 
 namespace {
 
@@ -45,35 +42,19 @@ CpuRun Run(bool use_yoda, double rate, std::size_t object_size, sim::Duration du
   tb.InstallProxyRules(tb.EqualSplitRules(0, cfg.backends));
 
   sim::Rng rng(17);
-  std::vector<std::string> urls;
-  for (const auto& o : tb.catalog->objects()) {
-    urls.push_back(o.url);
-  }
-  std::uint64_t completed = 0;
-  std::function<void(sim::Time)> schedule = [&](sim::Time when) {
-    if (when > duration) {
-      return;
-    }
-    tb.sim.At(when, [&]() {
-      auto* client = tb.clients[static_cast<std::size_t>(
-                                    rng.UniformInt(0, static_cast<std::int64_t>(
-                                                          tb.clients.size()) - 1))].get();
-      const net::IpAddr target = use_yoda ? tb.vip() : tb.proxy_ip(0);
-      const std::string& url = urls[static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(urls.size()) - 1))];
-      client->FetchObject(target, 80, url, {}, [&](const workload::FetchResult& r) {
-        completed += r.ok ? 1 : 0;
-      });
-      schedule(tb.sim.now() + sim::FromSeconds(rng.Exponential(1.0 / rate)));
-    });
-  };
+  workload::FetchTally tally;
+  workload::PoissonLoad load(&tb.sim, &rng, rate, [&]() {
+    workload::BrowserClient* client = workload::PickUniform(rng, tb.clients).get();
+    const net::IpAddr target = use_yoda ? tb.vip() : tb.proxy_ip(0);
+    workload::FetchRandomObject(tb, rng, client, target, {}, &tally);
+  });
   tb.instances[0]->cpu().ResetWindow(0);
   tb.proxies[0]->cpu().ResetWindow(0);
-  schedule(sim::Msec(1));
+  load.Start(sim::Msec(1), duration);
   tb.sim.Run();
 
   CpuRun out;
-  out.completed = completed;
+  out.completed = tally.ok;
   out.cpu_pct = 100.0 * (use_yoda ? tb.instances[0]->cpu().Utilization(duration)
                                   : tb.proxies[0]->cpu().Utilization(duration));
   out.metrics_table = tb.metrics.TextTable();

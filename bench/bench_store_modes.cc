@@ -27,13 +27,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/core/flow_state.h"
-#include "src/workload/testbed.h"
+#include "src/workload/open_loop.h"
 
 namespace {
 
@@ -74,41 +73,17 @@ ModeRun RunMode(yoda::StoreMode mode, int scale) {
   }
 
   sim::Rng rng(5);
-  std::vector<std::string> urls;
-  for (const auto& o : tb.catalog->objects()) {
-    urls.push_back(o.url);
-  }
-  std::uint64_t ok = 0;
-  std::uint64_t failed = 0;
-  const double rate = 1500.0 * scale;
-  const sim::Time end = tb.sim.now() + sim::Sec(5);
-  std::function<void(sim::Time)> schedule = [&](sim::Time when) {
-    if (when > end) {
-      return;
-    }
-    tb.sim.At(when, [&]() {
-      auto* client =
-          tb.clients[static_cast<std::size_t>(rng.UniformInt(
-                         0, static_cast<std::int64_t>(tb.clients.size()) - 1))].get();
-      const std::string& url = urls[static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(urls.size()) - 1))];
-      client->FetchObject(tb.vip(), 80, url, {}, [&](const workload::FetchResult& r) {
-        if (r.ok) {
-          ++ok;
-        } else {
-          ++failed;
-        }
-      });
-      schedule(tb.sim.now() + sim::FromSeconds(rng.Exponential(1.0 / rate)));
-    });
-  };
+  workload::FetchTally tally;
+  workload::PoissonLoad load(&tb.sim, &rng, 1500.0 * scale, [&]() {
+    workload::FetchRandomObject(tb, rng, nullptr, tb.vip(), {}, &tally);
+  });
   const auto t0 = std::chrono::steady_clock::now();
-  schedule(tb.sim.now() + sim::Msec(1));
+  load.Start(tb.sim.now() + sim::Msec(1), tb.sim.now() + sim::Sec(5));
   tb.sim.Run();
   const double wall = WallSeconds(t0);
 
   ModeRun r;
-  r.flows = static_cast<double>(ok + failed);
+  r.flows = static_cast<double>(tally.ok + tally.failed);
   r.flows_per_sec = r.flows / wall;
   for (const auto& inst : tb.instances) {
     const yoda::StoreSessionStats& st = inst->store_session().stats();
@@ -120,7 +95,7 @@ ModeRun RunMode(yoda::StoreMode mode, int scale) {
   std::printf(
       "  %s (x%d): %.0f flows (%llu ok) in %.3f s -> %.0f flows/s | "
       "%.0f sync store ops (%.2f sets/request), %.0f journal appends in %.0f flushes\n",
-      yoda::StoreModeName(mode), scale, r.flows, static_cast<unsigned long long>(ok), wall,
+      yoda::StoreModeName(mode), scale, r.flows, static_cast<unsigned long long>(tally.ok), wall,
       r.flows_per_sec, r.sync_ops, r.sets_per_request, r.journal_appends, r.journal_flushes);
   return r;
 }

@@ -1,12 +1,10 @@
 #include "src/workload/parallel_load.h"
 
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/sim/sharded_sim.h"
-#include "src/workload/browser_client.h"
+#include "src/workload/open_loop.h"
 #include "src/workload/scenario.h"
 
 namespace workload {
@@ -17,12 +15,8 @@ namespace {
 struct Cell {
   std::unique_ptr<Testbed> tb;
   std::unique_ptr<sim::Rng> rng;
-  std::vector<std::string> urls;
-  std::uint64_t ok = 0;
-  std::uint64_t failed = 0;
-  double rate = 0;
-  sim::Time end = 0;
-  std::function<void(sim::Time)> schedule;
+  FetchTally tally;
+  std::unique_ptr<PoissonLoad> load;
 };
 
 }  // namespace
@@ -44,36 +38,12 @@ ParallelLoadResult RunShardedFetchLoad(const TestbedConfig& cell_template,
     cell->tb = std::make_unique<Testbed>(cfg);
     cell->tb->DefineDefaultVipAndStart();
     cell->rng = std::make_unique<sim::Rng>(5 ^ cfg.seed);
-    for (const auto& o : cell->tb->catalog->objects()) {
-      cell->urls.push_back(o.url);
-    }
-    cell->rate = aggregate_rate / kScenarioCells;
-    cell->end = duration;
     Cell* cs = cell.get();
-    cs->schedule = [cs](sim::Time when) {
-      if (when > cs->end) {
-        return;
-      }
-      cs->tb->simulator->At(when, [cs]() {
-        Testbed& tb = *cs->tb;
-        sim::Rng& rng = *cs->rng;
-        auto* client = tb.clients[static_cast<std::size_t>(rng.UniformInt(
-                                      0, static_cast<std::int64_t>(tb.clients.size()) - 1))]
-                           .get();
-        const std::string& url = cs->urls[static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<std::int64_t>(cs->urls.size()) - 1))];
-        client->FetchObject(tb.vip(), 80, url, {}, [cs](const FetchResult& r) {
-          if (r.ok) {
-            ++cs->ok;
-          } else {
-            ++cs->failed;
-          }
+    cell->load = std::make_unique<PoissonLoad>(
+        cs->tb->simulator, cs->rng.get(), aggregate_rate / kScenarioCells, [cs]() {
+          FetchRandomObject(*cs->tb, *cs->rng, nullptr, cs->tb->vip(), {}, &cs->tally);
         });
-        cs->schedule(tb.simulator->now() +
-                     sim::FromSeconds(rng.Exponential(1.0 / cs->rate)));
-      });
-    };
-    cs->schedule(sim::Msec(1));
+    cell->load->Start(sim::Msec(1), duration);
     cells.push_back(std::move(cell));
   }
 
@@ -83,8 +53,8 @@ ParallelLoadResult RunShardedFetchLoad(const TestbedConfig& cell_template,
   result.cells = kScenarioCells;
   result.workers = engine.workers();
   for (auto& cell : cells) {
-    result.ok += cell->ok;
-    result.failed += cell->failed;
+    result.ok += cell->tally.ok;
+    result.failed += cell->tally.failed;
   }
   return result;
 }

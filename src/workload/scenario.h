@@ -3,9 +3,17 @@
 // This is what `tools/yodasim` executes, so experiments can be scripted
 // without writing C++.
 //
+// One runner executes every scenario; `threads` / `intra-threads` only pick
+// the layout (which testbeds exist and on which simulators, where the
+// timeline is conducted, and whether load is generated per testbed or per
+// client). ParseScenario checks every `at` line: unknown actions, bad or
+// out-of-range indices (against the final instances / backends / kv-servers
+// / controllers counts), undefined VIPs and malformed load, rule and
+// store-mode arguments are parse errors carrying the line number.
+//
 //   # comments and blank lines are ignored
 //   seed 42
-//   threads 4                            # cell-sharded run on 4 workers
+//   threads 4                            # 8 independent cells on 4 workers
 //   intra-threads 4                      # OR: one placed testbed, 4 workers
 //   place instance 0 5                   # pin instance 0 to shard 5
 //   place controller 0                   # pin the control plane to shard 0
@@ -29,6 +37,9 @@
 //   at 9s update-rules 10.200.0.1 name=r2 priority=2 url=* split=10.3.0.3
 //   at 10s add-instance                  # activate one spare
 //   at 11s assign                        # many-to-many assignment round
+//   at 12s crash-controller 1            # also: crash-leader,
+//   at 13s restart-controller 1          #       controllers N (HA replicas)
+//   run-until 20s                        # default: run to completion
 //
 // Backend i is 10.3.0.(i+1); instance i is 10.1.0.(i+1) (the Testbed plan).
 
@@ -64,7 +75,7 @@ struct Scenario {
   // with N worker threads — the experiment is replicated into kScenarioCells
   // independent cells (one full testbed per logical shard, distinct seeds),
   // with timeline events conducted from shard 0 over cross-shard mail. 0 (no
-  // directive) keeps the legacy single-Simulator path byte-for-byte.
+  // directive) runs one testbed on its own single Simulator.
   int threads = 0;
   // `intra-threads N` directive: run ONE testbed spread over kScenarioCells
   // shards of a sim::ShardedSim (intra-cell sharding: each instance, backend,
@@ -102,9 +113,10 @@ std::optional<sim::Duration> ParseDuration(const std::string& token);
 std::optional<net::IpAddr> ParseIp(const std::string& token);
 
 struct ScenarioReport {
-  // 1 for legacy runs; kScenarioCells for `threads N` runs, whose jsonl
-  // sections below are per-cell exports concatenated in shard order (each
-  // preceded by a {"cell":i} marker line).
+  // kScenarioCells for `threads N` runs, whose jsonl sections below are
+  // per-cell exports concatenated in shard order (each preceded by a
+  // {"cell":i} marker line); 1 otherwise (`intra-threads N` runs concatenate
+  // per-shard lanes under {"shard":i} markers).
   int cells = 1;
   std::uint64_t requests_ok = 0;
   std::uint64_t requests_failed = 0;
@@ -121,11 +133,14 @@ struct ScenarioReport {
   std::string traces_jsonl;
 };
 
-// Builds the testbed, schedules the events, runs the simulation and returns
-// the aggregate report. `log` (optional) receives progress lines. `after_run`
-// (optional) is invoked on the testbed after the simulation finishes but
-// before teardown — tools use it to inspect the flight recorder and metrics
-// registry directly.
+// Builds the testbed(s) for the scenario's layout, schedules the events,
+// runs the simulation and returns the aggregate report. Expects a scenario
+// ParseScenario accepted. Timeline events scripted before the instant setup
+// ends (HA leader election runs the clock) fire at that instant. `log`
+// (optional) receives progress lines; only runs without an engine narrate
+// per event. `after_run` (optional) is invoked on each testbed after the
+// simulation finishes but before teardown — tools use it to inspect the
+// flight recorder and metrics registry directly.
 ScenarioReport RunScenario(const Scenario& scenario, std::ostream* log = nullptr,
                            const std::function<void(Testbed&)>& after_run = nullptr);
 

@@ -15,9 +15,7 @@ Testbed::Testbed(TestbedConfig config)
                     ? &cfg.engine->shard(0)
                     : (cfg.external_sim != nullptr ? cfg.external_sim : &sim)),
       network(simulator, cfg.seed ^ 0x6e6574ULL),
-      fabric(cfg.engine != nullptr ? &cfg.engine->shard(cfg.placement.fabric_shard)
-                                   : simulator,
-             &network, cfg.muxes) {
+      fabric(SimFor(cfg.placement.fabric_shard), &network, cfg.muxes) {
   if (cfg.engine != nullptr) {
     cfg.placement.shards = cfg.engine->shards();
     // Per-shard observability lanes: every component reports into its own
@@ -37,9 +35,8 @@ Testbed::Testbed(TestbedConfig config)
   }
   const bool placed_mode = cfg.engine != nullptr;
   const int ctl_shard = cfg.placement.controller_shard;
-  fabric.SetObservability(
-      placed_mode ? &metrics_lane(cfg.placement.fabric_shard) : &metrics,
-      placed_mode ? &flight_lane(cfg.placement.fabric_shard) : &flight);
+  fabric.SetObservability(&metrics_lane(cfg.placement.fabric_shard),
+                          &flight_lane(cfg.placement.fabric_shard));
   network.SetLatency(net::Region::kDatacenter, net::Region::kDatacenter, cfg.dc_latency,
                      cfg.dc_jitter);
   network.SetLatency(net::Region::kDatacenter, net::Region::kInternet, cfg.internet_latency,
@@ -50,8 +47,7 @@ Testbed::Testbed(TestbedConfig config)
   // TCPStore fleet: each replica runs on its owning shard.
   for (int i = 0; i < cfg.kv_servers; ++i) {
     kv_servers.push_back(std::make_unique<kv::KvServer>(
-        SimFor(placed_mode ? cfg.placement.KvShard(i) : 0), "kv-" + std::to_string(i),
-        cfg.kv));
+        SimFor(cfg.placement.KvShard(i)), "kv-" + std::to_string(i), cfg.kv));
     if (placed_mode) {
       kv_servers.back()->audit().Bind(cfg.placement.KvShard(i));
     }
@@ -74,7 +70,7 @@ Testbed::Testbed(TestbedConfig config)
   }
   kv::ReplicatingClientConfig kv_client_cfg = cfg.kv_client;
   kv_client_cfg.replicas = cfg.kv_replicas;
-  kv_client_cfg.registry = placed_mode ? &metrics_lane(ctl_shard) : &metrics;
+  kv_client_cfg.registry = &metrics_lane(ctl_shard);
   if (placed_mode) {
     kv_client_cfg.engine = cfg.engine;
     kv_client_cfg.home_shard = ctl_shard;
@@ -84,10 +80,8 @@ Testbed::Testbed(TestbedConfig config)
   // their own, below, when placed).
   kv_client =
       std::make_unique<kv::ReplicatingClient>(SimFor(ctl_shard), kv_ptrs, kv_client_cfg);
-  store = std::make_unique<yoda::TcpStore>(
-      kv_client.get(), SimFor(ctl_shard),
-      placed_mode ? &flight_lane(ctl_shard) : &flight,
-      placed_mode ? &metrics_lane(ctl_shard) : &metrics);
+  store = std::make_unique<yoda::TcpStore>(kv_client.get(), SimFor(ctl_shard),
+                                           &flight_lane(ctl_shard), &metrics_lane(ctl_shard));
 
   if (cfg.build_catalog) {
     sim::Rng catalog_rng(cfg.seed ^ 0x636174ULL);
@@ -98,21 +92,20 @@ Testbed::Testbed(TestbedConfig config)
   // shard with its OWN store client (its KV op bookkeeping and timers must
   // live on its shard, not the controller's).
   for (int i = 0; i < cfg.yoda_instances + cfg.spare_instances; ++i) {
-    const int shard = placed_mode ? cfg.placement.InstanceShard(i) : 0;
+    const int shard = cfg.placement.InstanceShard(i);
     yoda::YodaInstanceConfig icfg = cfg.instance_template;
     icfg.ip = instance_ip(i);
-    icfg.registry = placed_mode ? &metrics_lane(shard) : &metrics;
-    icfg.recorder = placed_mode ? &flight_lane(shard) : &flight;
+    icfg.registry = &metrics_lane(shard);
+    icfg.recorder = &flight_lane(shard);
     yoda::TcpStore* inst_store = store.get();
     if (placed_mode) {
       kv::ReplicatingClientConfig icc = kv_client_cfg;
-      icc.registry = &metrics_lane(shard);
+      icc.registry = icfg.registry;
       icc.home_shard = shard;
       instance_kv_clients.push_back(
           std::make_unique<kv::ReplicatingClient>(SimFor(shard), kv_ptrs, icc));
       instance_stores.push_back(std::make_unique<yoda::TcpStore>(
-          instance_kv_clients.back().get(), SimFor(shard), &flight_lane(shard),
-          &metrics_lane(shard)));
+          instance_kv_clients.back().get(), SimFor(shard), icfg.recorder, icfg.registry));
       inst_store = instance_stores.back().get();
     }
     auto inst = std::make_unique<yoda::YodaInstance>(SimFor(shard), &network, &fabric,
@@ -133,8 +126,7 @@ Testbed::Testbed(TestbedConfig config)
     baseline::ProxyConfig pcfg = cfg.proxy_template;
     pcfg.ip = proxy_ip(i);
     proxies.push_back(std::make_unique<baseline::ProxyInstance>(
-        SimFor(placed_mode ? cfg.placement.ProxyShard(i) : 0), &network,
-        cfg.seed ^ (0x2000ULL + i), pcfg));
+        SimFor(cfg.placement.ProxyShard(i)), &network, cfg.seed ^ (0x2000ULL + i), pcfg));
   }
 
   // Backend web servers.
@@ -143,9 +135,9 @@ Testbed::Testbed(TestbedConfig config)
     scfg.ip = backend_ip(i);
     scfg.processing_delay = cfg.server_processing;
     scfg.tcp = cfg.server_tcp;
-    servers.push_back(std::make_unique<HttpServerNode>(
-        SimFor(placed_mode ? cfg.placement.BackendShard(i) : 0), &network, catalog.get(),
-        cfg.seed ^ (0x3000ULL + i), scfg));
+    servers.push_back(std::make_unique<HttpServerNode>(SimFor(cfg.placement.BackendShard(i)),
+                                                       &network, catalog.get(),
+                                                       cfg.seed ^ (0x3000ULL + i), scfg));
     if (placed_mode) {
       servers.back()->audit().Bind(cfg.placement.BackendShard(i));
     }
@@ -154,16 +146,15 @@ Testbed::Testbed(TestbedConfig config)
   // Clients (Internet region).
   for (int i = 0; i < cfg.clients; ++i) {
     clients.push_back(std::make_unique<BrowserClient>(
-        SimFor(placed_mode ? cfg.placement.ClientShard(i) : 0), &network, client_ip(i),
-        cfg.seed ^ (0x4000ULL + i)));
+        SimFor(cfg.placement.ClientShard(i)), &network, client_ip(i), cfg.seed ^ (0x4000ULL + i)));
     if (placed_mode) {
       clients.back()->audit().Bind(cfg.placement.ClientShard(i));
     }
   }
 
   yoda::ControllerConfig ctl_cfg = cfg.controller;
-  ctl_cfg.registry = placed_mode ? &metrics_lane(ctl_shard) : &metrics;
-  ctl_cfg.recorder = placed_mode ? &flight_lane(ctl_shard) : &flight;
+  ctl_cfg.registry = &metrics_lane(ctl_shard);
+  ctl_cfg.recorder = &flight_lane(ctl_shard);
   if (placed_mode) {
     // Cross-shard control plane: probe health only through the network's
     // shard-replicated down flags, and route every instance-state write
@@ -215,7 +206,7 @@ Testbed::Testbed(TestbedConfig config)
   // scenario timeline fires there), so its timers and recorder live there.
   faults = std::make_unique<fault::FaultPlane>(
       SimFor(ctl_shard), &network, cfg.seed ^ 0x66617574ULL,
-      fault::FaultPlaneConfig{placed_mode ? &flight_lane(ctl_shard) : &flight});
+      fault::FaultPlaneConfig{&flight_lane(ctl_shard)});
   // Placed: component mutations are routed to the component's owning shard
   // (RunOnOwner — inline and byte-identical when unplaced); SetNodeDown
   // already replicates to every lane internally.
@@ -337,14 +328,14 @@ void Testbed::StartAllControllers() {
   }
 }
 
-yoda::Controller* Testbed::LeaderController() {
+int Testbed::LeaderIndex() {
   for (int i = 0; i < controller_count(); ++i) {
     yoda::Controller* c = ControllerAt(i);
     if (!c->crashed() && c->ActingLeader()) {
-      return c;
+      return i;
     }
   }
-  return nullptr;
+  return -1;
 }
 
 yoda::Controller* Testbed::AwaitLeader(sim::Duration max_wait) {

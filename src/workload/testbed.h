@@ -171,8 +171,20 @@ class Testbed {
   }
   // Starts every replica (each contends for the lease; first CAS wins).
   void StartAllControllers();
+  // Index of the replica currently acting as leader, or -1 during an
+  // interregnum.
+  int LeaderIndex();
   // The replica currently acting as leader, or nullptr during an interregnum.
-  yoda::Controller* LeaderController();
+  yoda::Controller* LeaderController() {
+    const int i = LeaderIndex();
+    return i < 0 ? nullptr : ControllerAt(i);
+  }
+  // The handle for control-plane writes: the leader under HA (a standby
+  // silently ignores them), replica 0 otherwise or during an interregnum.
+  yoda::Controller* ActiveController() {
+    yoda::Controller* leader = cfg.controller_ha ? LeaderController() : nullptr;
+    return leader != nullptr ? leader : controller.get();
+  }
   // Runs the simulation until some replica holds the lease (or max_wait).
   yoda::Controller* AwaitLeader(sim::Duration max_wait = sim::Sec(2));
   // Crash/restart through the fault plane so the flight recorder sees the

@@ -17,11 +17,12 @@
 //      each other mid-run, so it pins that cross-shard delivery times are a
 //      function of the virtual clocks only, never of the worker schedule.
 //
-//   3. Golden reproduction: the legacy single-simulator path reproduces the
-//      checked-in trace digests for the repo's scenario files. These goldens
-//      were captured from the pre-parallelism build, so they also pin that
-//      the multi-core engine and intra-cell placement work did not perturb
-//      single-threaded traces.
+//   3. Golden reproduction: the unsharded layout reproduces the checked-in
+//      trace digests for the repo's scenario files. These goldens were
+//      captured from the pre-parallelism build, so they also pin that the
+//      multi-core engine and intra-cell placement work did not perturb
+//      single-threaded traces. The single-worker digests of the sharded and
+//      placed texts are pinned the same way.
 
 #include <fstream>
 #include <map>
@@ -135,9 +136,37 @@ ScenarioReport RunText(const std::string& text) {
   return RunScenario(*scenario, nullptr);
 }
 
+// Single-worker trace digests of the texts above, per seed. Captured from the
+// build that still had one run function per layout, so they pin that the
+// single scenario runner reproduces the cell-sharded and placed traces too.
+const std::map<std::uint64_t, std::uint64_t> kShardedGolden = {
+    {1, 0x29572eae5fa38fd5ull},
+    {7, 0x655561e781d0d88eull},
+    {42, 0xf186c12800702724ull},
+    {1337, 0x56ab6e64d5cd2f31ull},
+    {4242, 0xab33a9c74dc77d47ull},
+    {90210, 0xed7b86c581dbd0d6ull},
+    {271828, 0x0135c29d9a0c5fcbull},
+    {3141592, 0x7507f6ada5f3f5beull},
+};
+const std::map<std::uint64_t, std::uint64_t> kIntraGolden = {
+    {1, 0x979c4099fd604c93ull},
+    {7, 0x71e75eac5e837bf2ull},
+    {42, 0x5a13b92b12ed8d91ull},
+    {1337, 0x25c7cce260f1cc36ull},
+    {4242, 0x2c88b998b622e47eull},
+    {90210, 0x77f44139b38ade3bull},
+    {271828, 0x3f26c8a7ea02fc83ull},
+    {3141592, 0x383615f5d39f9720ull},
+};
+const std::map<std::uint64_t, std::uint64_t> kIntraStatelessGolden = {
+    {7, 0xad5ccd3d93951edcull},
+    {1337, 0x6459d6d9b05b1a16ull},
+    {90210, 0x126b63e5b21516c7ull},
+};
+
 TEST(Determinism, ShardedDigestInvariantAcrossWorkerCounts) {
-  const std::uint64_t seeds[] = {1, 7, 42, 1337, 4242, 90210, 271828, 3141592};
-  for (std::uint64_t seed : seeds) {
+  for (const auto& [seed, golden] : kShardedGolden) {
     std::uint64_t want = 0;
     std::uint64_t want_ok = 0;
     for (int threads : {1, 2, 4, 8}) {
@@ -146,6 +175,7 @@ TEST(Determinism, ShardedDigestInvariantAcrossWorkerCounts) {
       EXPECT_GT(r.requests_ok, 0u) << "seed " << seed;
       const std::uint64_t got = FullDigest(r);
       if (threads == 1) {
+        EXPECT_EQ(TraceDigest(r), golden) << "seed " << seed;
         want = got;
         want_ok = r.requests_ok;
         continue;
@@ -158,8 +188,7 @@ TEST(Determinism, ShardedDigestInvariantAcrossWorkerCounts) {
 }
 
 TEST(Determinism, IntraCellDigestInvariantAcrossWorkerCounts) {
-  const std::uint64_t seeds[] = {1, 7, 42, 1337, 4242, 90210, 271828, 3141592};
-  for (std::uint64_t seed : seeds) {
+  for (const auto& [seed, golden] : kIntraGolden) {
     std::uint64_t want = 0;
     std::uint64_t want_ok = 0;
     for (int threads : {1, 2, 4, 8}) {
@@ -168,6 +197,7 @@ TEST(Determinism, IntraCellDigestInvariantAcrossWorkerCounts) {
       EXPECT_GT(r.requests_ok, 0u) << "seed " << seed;
       const std::uint64_t got = FullDigest(r);
       if (threads == 1) {
+        EXPECT_EQ(TraceDigest(r), golden) << "seed " << seed;
         want = got;
         want_ok = r.requests_ok;
         continue;
@@ -180,8 +210,7 @@ TEST(Determinism, IntraCellDigestInvariantAcrossWorkerCounts) {
 }
 
 TEST(Determinism, IntraCellStatelessDigestInvariantAcrossWorkerCounts) {
-  const std::uint64_t seeds[] = {7, 1337, 90210};
-  for (std::uint64_t seed : seeds) {
+  for (const auto& [seed, golden] : kIntraStatelessGolden) {
     std::uint64_t want = 0;
     std::uint64_t want_ok = 0;
     for (int threads : {1, 2, 4, 8}) {
@@ -190,6 +219,7 @@ TEST(Determinism, IntraCellStatelessDigestInvariantAcrossWorkerCounts) {
       EXPECT_GT(r.requests_ok, 0u) << "seed " << seed;
       const std::uint64_t got = FullDigest(r);
       if (threads == 1) {
+        EXPECT_EQ(TraceDigest(r), golden) << "seed " << seed;
         want = got;
         want_ok = r.requests_ok;
         continue;

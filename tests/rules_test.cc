@@ -22,6 +22,13 @@ struct GlobCase {
   bool expect;
 };
 
+// Gives each case a readable, stable name in gtest and ctest listings; the
+// default printer dumps the struct's raw bytes, pointer values included, so
+// the names would change with every build and run.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << "'" << c.pattern << "' " << (c.expect ? "matches" : "rejects") << " '" << c.text << "'";
+}
+
 class GlobMatchTest : public ::testing::TestWithParam<GlobCase> {};
 
 TEST_P(GlobMatchTest, Matches) {
