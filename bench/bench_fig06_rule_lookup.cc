@@ -23,7 +23,7 @@ rules::RuleTable BuildTable(int n_rules, sim::Rng& rng) {
   rules::RuleTable table;
   for (int i = 0; i < n_rules; ++i) {
     rules::Rule r;
-    r.name = "r" + std::to_string(i);
+    r.name = std::string("r").append(std::to_string(i));
     r.priority = static_cast<int>(rng.UniformInt(0, 9));
     // Distinct URL prefixes so most rules do not match most requests.
     r.match.url_glob = "/svc" + std::to_string(i) + "/*";

@@ -65,7 +65,7 @@ struct ExecStep {
   net::IpAddr vip = 0;
   net::IpAddr instance = 0;            // Instance (or backend for health).
   bool healthy = true;                 // kSetBackendHealth payload.
-  std::vector<net::IpAddr> pool;       // kProgramPool payload.
+  std::vector<net::IpAddr> pool{};     // kProgramPool payload.
 };
 
 struct ExecPlan {

@@ -1,92 +1,46 @@
 #include "src/core/flow_table.h"
 
-#include <cassert>
+#include <algorithm>
 #include <utility>
 
 namespace yoda {
 
-FlowTable::FlowTable(int shards) {
-  assert(shards > 0);
-  shards_.resize(static_cast<std::size_t>(shards));
-}
-
-LocalFlow* FlowTable::Find(const FlowKey& key) {
-  Shard& shard = shards_[static_cast<std::size_t>(ShardOf(key))];
-  auto it = shard.find(key);
-  return it == shard.end() ? nullptr : it->second.get();
-}
-
 LocalFlow& FlowTable::Insert(const FlowKey& key, std::unique_ptr<LocalFlow> flow) {
-  Shard& shard = shards_[static_cast<std::size_t>(ShardOf(key))];
-  auto [it, inserted] = shard.insert_or_assign(key, std::move(flow));
-  if (inserted) {
-    ++size_;
-  }
-  return *it->second;
+  std::unique_ptr<LocalFlow>& slot = flows_[key];
+  slot = std::move(flow);
+  return *slot;
 }
-
-void FlowTable::Erase(const FlowKey& key) {
-  Shard& shard = shards_[static_cast<std::size_t>(ShardOf(key))];
-  if (shard.erase(key) > 0) {
-    --size_;
-  }
-}
-
-std::size_t FlowTable::size() const { return size_; }
 
 void FlowTable::ForEach(const std::function<void(const FlowKey&, LocalFlow&)>& fn) {
-  for (Shard& shard : shards_) {
-    for (auto& [key, flow] : shard) {
-      fn(key, *flow);
-    }
-  }
+  flows_.ForEach(
+      [&fn](const FlowKey& key, std::unique_ptr<LocalFlow>& flow) { fn(key, *flow); });
 }
 
 std::vector<FlowKey> FlowTable::CollectIdle(sim::Time idle_deadline) const {
   std::vector<FlowKey> out;
-  for (const Shard& shard : shards_) {
-    for (const auto& [key, flow] : shard) {
-      if (!flow->lookup_pending() && flow->last_packet < idle_deadline) {
-        out.push_back(key);
-      }
+  flows_.ForEach([&](const FlowKey& key, const std::unique_ptr<LocalFlow>& flow) {
+    if (!flow->lookup_pending() && flow->last_packet < idle_deadline) {
+      out.push_back(key);
     }
-  }
+  });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<FlowKey> FlowTable::CollectVip(net::IpAddr vip) const {
   std::vector<FlowKey> out;
-  for (const Shard& shard : shards_) {
-    for (const auto& [key, flow] : shard) {
-      if (key.vip == vip) {
-        out.push_back(key);
-      }
+  flows_.ForEach([&](const FlowKey& key, const std::unique_ptr<LocalFlow>&) {
+    if (key.vip == vip) {
+      out.push_back(key);
     }
-  }
+  });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
-void FlowTable::BindServer(const net::FiveTuple& tuple, const FlowKey& key) {
-  server_index_[tuple] = key;
-}
-
-void FlowTable::UnbindServer(const net::FiveTuple& tuple) { server_index_.erase(tuple); }
-
-const FlowKey* FlowTable::FindServer(const net::FiveTuple& tuple) const {
-  auto it = server_index_.find(tuple);
-  return it == server_index_.end() ? nullptr : &it->second;
-}
-
-bool FlowTable::HasServer(const net::FiveTuple& tuple) const {
-  return server_index_.contains(tuple);
-}
-
 void FlowTable::Clear() {
-  for (Shard& shard : shards_) {
-    shard.clear();
-  }
-  size_ = 0;
-  server_index_.clear();
+  flows_.Clear();
+  server_index_.Clear();
 }
 
 }  // namespace yoda

@@ -2,11 +2,10 @@
 //
 // Owns the LocalFlow lifecycle — lookup, insert, idle collection, erase —
 // keyed by the client-side FlowKey, plus the server-tuple reverse index that
-// classifies return traffic. The key hash partitions flows into N shards:
-// the simulator is single-threaded today, so sharding buys nothing yet, but
-// the ROADMAP's parallel split needs a stable, load-balanced partition
-// function to hand each shard to a worker — ShardOf is that seam, and the
-// shard-distribution unit test is its guard.
+// classifies return traffic. Both are sim::FlatMaps. A LocalFlow lives
+// behind a unique_ptr, so the LocalFlow* Find returns stays valid until that
+// flow is erased, whatever else the table does meanwhile; keys returned by
+// FindServer are copies for the same reason.
 
 #ifndef SRC_CORE_FLOW_TABLE_H_
 #define SRC_CORE_FLOW_TABLE_H_
@@ -14,66 +13,63 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "src/core/local_flow.h"
 #include "src/net/packet.h"
+#include "src/sim/flat_map.h"
 #include "src/sim/time.h"
 
 namespace yoda {
 
 class FlowTable {
  public:
-  static constexpr int kDefaultShards = 8;
-
-  explicit FlowTable(int shards = kDefaultShards);
+  FlowTable() = default;
   FlowTable(const FlowTable&) = delete;
   FlowTable& operator=(const FlowTable&) = delete;
 
-  // The shard a key belongs to: upper hash bits, so shard choice is
-  // independent of each shard map's own bucket indexing (which uses the
-  // lower bits).
-  static int ShardOf(const FlowKey& key, int shard_count) {
-    return static_cast<int>((FlowKeyHash{}(key) >> 17) % static_cast<std::size_t>(shard_count));
+  LocalFlow* Find(const FlowKey& key) {
+    std::unique_ptr<LocalFlow>* flow = flows_.Find(key);
+    return flow == nullptr ? nullptr : flow->get();
   }
-  int ShardOf(const FlowKey& key) const { return ShardOf(key, shard_count()); }
-
-  LocalFlow* Find(const FlowKey& key);
   // Inserts (replacing any existing entry) and returns the stored flow.
   LocalFlow& Insert(const FlowKey& key, std::unique_ptr<LocalFlow> flow);
-  void Erase(const FlowKey& key);
+  void Erase(const FlowKey& key) { flows_.Erase(key); }
 
-  std::size_t size() const;
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-  std::size_t shard_size(int shard) const { return shards_[static_cast<std::size_t>(shard)].size(); }
+  std::size_t size() const { return flows_.size(); }
 
-  // Visits every flow (shard-major, deterministic for a fixed insert
-  // history within one run).
+  // Visits every flow in table order, which is unspecified: use only for
+  // work whose outcome does not depend on the order.
   void ForEach(const std::function<void(const FlowKey&, LocalFlow&)>& fn);
 
   // Keys with no packets since `idle_deadline` that are not waiting on a
-  // takeover lookup — the idle-scan GC set.
+  // takeover lookup — the idle-scan GC set. Sorted by FlowKey order (vip,
+  // vip_port, client_ip, client_port), so the store removes and RSTs the
+  // caller issues in turn never follow the table's layout.
   std::vector<FlowKey> CollectIdle(sim::Time idle_deadline) const;
-  // Every key belonging to `vip` (VIP teardown drain).
+  // Every key belonging to `vip` (VIP teardown drain), sorted likewise.
   std::vector<FlowKey> CollectVip(net::IpAddr vip) const;
 
   // --- server-side reverse index (return-path classification) ---
-  void BindServer(const net::FiveTuple& tuple, const FlowKey& key);
-  void UnbindServer(const net::FiveTuple& tuple);
-  // Null when the tuple is unknown (takeover candidate).
-  const FlowKey* FindServer(const net::FiveTuple& tuple) const;
-  bool HasServer(const net::FiveTuple& tuple) const;
+  void BindServer(const net::FiveTuple& tuple, const FlowKey& key) {
+    server_index_[tuple] = key;
+  }
+  void UnbindServer(const net::FiveTuple& tuple) { server_index_.Erase(tuple); }
+  // Empty when the tuple is unknown (takeover candidate).
+  std::optional<FlowKey> FindServer(const net::FiveTuple& tuple) const {
+    const FlowKey* key = server_index_.Find(tuple);
+    return key == nullptr ? std::nullopt : std::optional<FlowKey>(*key);
+  }
+  bool HasServer(const net::FiveTuple& tuple) const { return server_index_.Contains(tuple); }
   std::size_t server_index_size() const { return server_index_.size(); }
 
   // Drops all flows and index entries (instance crash).
   void Clear();
 
  private:
-  using Shard = std::unordered_map<FlowKey, std::unique_ptr<LocalFlow>, FlowKeyHash>;
-  std::vector<Shard> shards_;
-  std::size_t size_ = 0;
-  std::unordered_map<net::FiveTuple, FlowKey, net::FiveTupleHash> server_index_;
+  sim::FlatMap<FlowKey, std::unique_ptr<LocalFlow>, FlowKeyHash> flows_;
+  sim::FlatMap<net::FiveTuple, FlowKey, net::FiveTupleHash> server_index_;
 };
 
 }  // namespace yoda

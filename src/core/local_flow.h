@@ -12,6 +12,7 @@
 #ifndef SRC_CORE_LOCAL_FLOW_H_
 #define SRC_CORE_LOCAL_FLOW_H_
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -31,13 +32,14 @@
 
 namespace yoda {
 
-// Client-side flow identity.
+// Client-side flow identity. Ordered field by field (vip, vip_port,
+// client_ip, client_port): the order FlowTable's sweeps hand keys out in.
 struct FlowKey {
   net::IpAddr vip = 0;
   net::Port vip_port = 0;
   net::IpAddr client_ip = 0;
   net::Port client_port = 0;
-  bool operator==(const FlowKey&) const = default;
+  auto operator<=>(const FlowKey&) const = default;
 };
 
 struct FlowKeyHash {

@@ -136,12 +136,10 @@ void TakeoverEngine::ServerTakeoverLookup(const net::Packet& p, int attempt) {
               // A client-side adoption (cookie or journal) may have bound
               // the reverse tuple while we backed off — deliver locally
               // instead of re-querying the store.
-              const FlowKey* bound = ctx_->flows->FindServer(p.tuple());
-              if (bound != nullptr) {
-                const FlowKey key = *bound;
-                LocalFlow* f = ctx_->flows->Find(key);
+              if (const std::optional<FlowKey> key = ctx_->flows->FindServer(p.tuple())) {
+                LocalFlow* f = ctx_->flows->Find(*key);
                 if (f != nullptr && f->established()) {
-                  ctx_->splice->TunnelFromServer(key, *f, p);
+                  ctx_->splice->TunnelFromServer(*key, *f, p);
                   return;
                 }
               }

@@ -14,7 +14,6 @@ YodaInstance::YodaInstance(sim::Simulator* simulator, net::Network* network,
       rng_(seed),
       cfg_(config),
       cpu_(config.cpu_costs, config.cores),
-      flow_table_(std::max(1, config.flow_table_shards)),
       store_session_(store, simulator),
       handshake_(&pipe_),
       dispatcher_(&pipe_),
@@ -313,19 +312,22 @@ void YodaInstance::HandlePacket(const net::Packet& p) {
   }
   MeterVip(p.dst, p);
   if (p.dport == vip->vip_port) {
-    LocalFlow* f = flow_table_.Find(FlowKey{p.dst, p.dport, p.src, p.sport});
-    if (f != nullptr) {
-      f->last_packet = sim_->now();
+    LocalFlow* flow = flow_table_.Find(FlowKey{p.dst, p.dport, p.src, p.sport});
+    if (flow != nullptr) {
+      flow->last_packet = sim_->now();
     }
-    HandleClientSide(p, *vip);
-  } else if (flow_table_.HasServer(p.tuple()) || vip->backends.contains(p.src)) {
-    HandleServerSide(p, *vip);
+    HandleClientSide(p, *vip, flow);
+    return;
+  }
+  const std::optional<FlowKey> bound = flow_table_.FindServer(p.tuple());
+  if (bound || vip->backends.contains(p.src)) {
+    HandleServerSide(p, *vip, bound);
   } else {
     ctr_.dropped_unknown_vip->Inc();
   }
 }
 
-void YodaInstance::HandleClientSide(const net::Packet& p, VipState& vip) {
+void YodaInstance::HandleClientSide(const net::Packet& p, VipState& vip, LocalFlow* flow) {
   const FlowKey key{p.dst, p.dport, p.src, p.sport};
 
   if (p.syn() && !p.ack_flag()) {
@@ -333,7 +335,6 @@ void YodaInstance::HandleClientSide(const net::Packet& p, VipState& vip) {
     return;
   }
 
-  LocalFlow* flow = flow_table_.Find(key);
   if (flow == nullptr) {
     takeover_.TakeoverClientSide(key, p);
     return;
@@ -368,9 +369,9 @@ void YodaInstance::HandleClientSide(const net::Packet& p, VipState& vip) {
   }
 }
 
-void YodaInstance::HandleServerSide(const net::Packet& p, VipState& vip) {
-  const FlowKey* bound = flow_table_.FindServer(p.tuple());
-  if (bound == nullptr) {
+void YodaInstance::HandleServerSide(const net::Packet& p, VipState& vip,
+                                    const std::optional<FlowKey>& bound) {
+  if (!bound) {
     takeover_.TakeoverServerSide(p, vip);
     return;
   }

@@ -7,7 +7,7 @@
 // assembly, rule scan, sticky binding, selection, HTTP/1.1 re-switch),
 // SpliceEngine (sequence-translation tunneling, mirror legs) and
 // TakeoverEngine (TCPStore lookups + mid-stream adoption). Flow state lives
-// in the sharded FlowTable; storage traffic goes through StoreSession, which
+// in the FlowTable; storage traffic goes through StoreSession, which
 // owns the "write exactly at the ACK points" contract.
 //
 // What remains here: the controller API (VIP install/remove, health, fail/
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -154,7 +155,7 @@ class YodaInstance : public net::Node {
   // "yoda.connection_phase_ms".
   sim::Histogram& connection_phase_ms() { return *stage_.connection_phase_ms; }
 
-  // The flow-state store (sharded) and the storage write layer, exposed for
+  // The flow-state store and the storage write layer, exposed for
   // tests and tooling.
   const FlowTable& flow_table() const { return flow_table_; }
   const StoreSession& store_session() const { return store_session_; }
@@ -178,9 +179,13 @@ class YodaInstance : public net::Node {
   // Mux::StaleToken (token 0 bypasses; older-than-watermark rejects).
   bool StaleControlToken(std::uint64_t token);
 
-  // Packet demux: classify and hand off to the stage engines.
-  void HandleClientSide(const net::Packet& p, VipState& vip);
-  void HandleServerSide(const net::Packet& p, VipState& vip);
+  // Packet demux: classify and hand off to the stage engines. HandlePacket
+  // does the one flow-table lookup per packet and passes its result down:
+  // the client side gets the flow (null when unknown), the server side the
+  // bound client key (empty when the tuple is unknown).
+  void HandleClientSide(const net::Packet& p, VipState& vip, LocalFlow* flow);
+  void HandleServerSide(const net::Packet& p, VipState& vip,
+                        const std::optional<FlowKey>& bound);
 
   void IdleScan();
   // Schedules the next idle scan; each firing re-arms itself. The closure

@@ -102,8 +102,8 @@ std::vector<ChaosEpisode> RandomSchedule(FaultPlane& plane, sim::Rng& rng,
         const std::string id = "chaos-gray-" + std::to_string(i);
         // The classic gray failure: pure SYNs toward the instance die, while
         // established traffic (and kAck-shaped health probes) pass.
-        auto pred = [t](const net::Packet& p) {
-          return p.dst == t && p.syn() && !p.ack_flag();
+        auto pred = [t](const net::Packet& pkt) {
+          return pkt.dst == t && pkt.syn() && !pkt.ack_flag();
         };
         plane.Schedule(ep.at, [id, pred, p](FaultPlane& fp) { fp.SetGray(id, pred, p); });
         plane.Schedule(ep.until, [id](FaultPlane& fp) { fp.ClearGray(id); });

@@ -1,75 +1,131 @@
 #include "src/kv/hash_ring.h"
 
+#include <algorithm>
+#include <bit>
+#include <charconv>
+#include <stdexcept>
+
 namespace kv {
 
-std::uint64_t Mix64(std::uint64_t x) {
-  // splitmix64 finaliser.
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+namespace {
 
-std::uint64_t HashBytes(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+// FNV-1a over `s`, continuing from `state`: Fnv1a(b, Fnv1a(a)) is the
+// FNV-1a state of a + b.
+std::uint64_t Fnv1a(std::string_view s, std::uint64_t state = kFnvOffset) {
   for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
+    state ^= c;
+    state *= 0x100000001b3ULL;
   }
-  return Mix64(h);
+  return state;
 }
 
-void HashRing::AddServer(const std::string& id) {
-  if (!servers_.insert(id).second) {
-    return;
+// Decimal digits of `i`, as std::to_string writes them.
+std::string_view Decimal(int i, char (&buf)[16]) {
+  const auto end = std::to_chars(buf, buf + sizeof(buf), i).ptr;
+  return {buf, static_cast<std::size_t>(end - buf)};
+}
+
+}  // namespace
+
+std::uint64_t HashBytes(std::string_view s) { return Mix64(Fnv1a(s)); }
+
+int HashRing::IndexOf(const std::string& id) const {
+  const auto it = std::find(servers_.begin(), servers_.end(), id);
+  return it == servers_.end() ? -1 : static_cast<int>(it - servers_.begin());
+}
+
+std::uint32_t HashRing::AddServer(const std::string& id) {
+  if (const int existing = IndexOf(id); existing >= 0) {
+    return static_cast<std::uint32_t>(existing);
   }
-  for (int v = 0; v < vnodes_; ++v) {
-    ring_[HashBytes(id + "#" + std::to_string(v))] = id;
+  if (servers_.size() >= kMaxServers) {
+    throw std::length_error("HashRing: more than 64 servers");
   }
+  servers_.push_back(id);
+  Rebuild();
+  return static_cast<std::uint32_t>(servers_.size() - 1);
 }
 
 void HashRing::RemoveServer(const std::string& id) {
-  if (servers_.erase(id) == 0) {
+  const int index = IndexOf(id);
+  if (index < 0) {
     return;
   }
-  for (int v = 0; v < vnodes_; ++v) {
-    ring_.erase(HashBytes(id + "#" + std::to_string(v)));
-  }
+  servers_.erase(servers_.begin() + index);
+  Rebuild();
 }
 
-std::string HashRing::WalkFrom(std::uint64_t point,
-                               const std::set<std::string>& exclude) const {
-  if (ring_.empty() || exclude.size() >= servers_.size()) {
-    return "";
+void HashRing::Rebuild() {
+  ring_.clear();
+  ring_.reserve(servers_.size() * static_cast<std::size_t>(std::max(vnodes_, 0)));
+  char buf[16];
+  for (std::uint32_t s = 0; s < servers_.size(); ++s) {
+    const std::uint64_t id_state = Fnv1a("#", Fnv1a(servers_[s]));
+    for (int v = 0; v < vnodes_; ++v) {
+      ring_.emplace_back(Mix64(Fnv1a(Decimal(v, buf), id_state)), s);
+    }
   }
-  auto it = ring_.lower_bound(point);
-  for (std::size_t steps = 0; steps < ring_.size() * 2; ++steps) {
+  // Sorting the pairs puts the later-added server last among equal points;
+  // keep only that one, as if each server's points were written over the
+  // earlier ones in add order.
+  std::sort(ring_.begin(), ring_.end());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    if (i + 1 < ring_.size() && ring_[i + 1].first == ring_[i].first) {
+      continue;
+    }
+    ring_[kept++] = ring_[i];
+  }
+  ring_.resize(kept);
+}
+
+std::uint32_t HashRing::WalkFrom(std::uint64_t point, std::uint64_t exclude) const {
+  if (ring_.empty() || static_cast<std::size_t>(std::popcount(exclude)) >= servers_.size()) {
+    return kNoServer;
+  }
+  auto it = std::lower_bound(
+      ring_.begin(), ring_.end(), point,
+      [](const std::pair<std::uint64_t, std::uint32_t>& e, std::uint64_t p) { return e.first < p; });
+  for (std::size_t steps = 0; steps < ring_.size(); ++steps, ++it) {
     if (it == ring_.end()) {
       it = ring_.begin();
     }
-    if (!exclude.contains(it->second)) {
+    if ((exclude >> it->second & 1) == 0) {
       return it->second;
     }
-    ++it;
   }
-  return "";
+  return kNoServer;
 }
 
 std::string HashRing::Lookup(const std::string& key) const {
-  return WalkFrom(HashBytes(key), {});
+  const std::uint32_t s = WalkFrom(HashBytes(key), 0);
+  return s == kNoServer ? "" : servers_[s];
+}
+
+std::vector<std::uint32_t> HashRing::ReplicaIndices(const std::string& key, int k) const {
+  std::vector<std::uint32_t> out;
+  // hash_i(key) is HashBytes(key + "@" + i): continue the FNV state of the
+  // key instead of building that string.
+  const std::uint64_t key_state = Fnv1a("@", Fnv1a(key));
+  std::uint64_t chosen = 0;
+  char buf[16];
+  for (int i = 0; i < k && out.size() < servers_.size(); ++i) {
+    const std::uint32_t s = WalkFrom(Mix64(Fnv1a(Decimal(i, buf), key_state)), chosen);
+    if (s == kNoServer) {
+      break;
+    }
+    chosen |= std::uint64_t{1} << s;
+    out.push_back(s);
+  }
+  return out;
 }
 
 std::vector<std::string> HashRing::Replicas(const std::string& key, int k) const {
   std::vector<std::string> out;
-  std::set<std::string> chosen;
-  for (int i = 0; i < k && chosen.size() < servers_.size(); ++i) {
-    std::uint64_t point = HashBytes(key + "@" + std::to_string(i));
-    std::string server = WalkFrom(point, chosen);
-    if (server.empty()) {
-      break;
-    }
-    chosen.insert(server);
-    out.push_back(server);
+  for (const std::uint32_t s : ReplicaIndices(key, k)) {
+    out.push_back(servers_[s]);
   }
   return out;
 }

@@ -31,19 +31,21 @@ sim::Duration KvServer::QueueDelayNow() const {
   return busy_until_ > now ? busy_until_ - now : 0;
 }
 
-void KvServer::Touch(const std::string& key) {
-  auto it = items_.find(key);
-  if (it == items_.end()) {
+void KvServer::Store(const std::string& key, std::string value) {
+  const auto [item, inserted] = items_.TryEmplace(key);
+  item->value = std::move(value);
+  if (!inserted) {
+    lru_.splice(lru_.begin(), lru_, item->lru_pos);
     return;
   }
-  lru_.erase(it->second.lru_pos);
   lru_.push_front(key);
-  it->second.lru_pos = lru_.begin();
+  item->lru_pos = lru_.begin();
+  EvictIfNeeded();
 }
 
 void KvServer::EvictIfNeeded() {
   while (items_.size() > cfg_.max_items && !lru_.empty()) {
-    items_.erase(lru_.back());
+    items_.Erase(lru_.back());
     lru_.pop_back();
     ++stats_.evictions;
   }
@@ -61,14 +63,14 @@ void KvServer::Get(const std::string& key, GetCallback cb) {
     if (failed_) {
       return;  // Crashed while the op was queued: response is lost.
     }
-    auto it = items_.find(key);
-    if (it == items_.end()) {
+    const Item* item = items_.Find(key);
+    if (item == nullptr) {
       ++stats_.misses;
       Respond([cb = std::move(cb)]() { cb(std::nullopt); });
     } else {
       ++stats_.hits;
-      Touch(key);
-      Respond([cb = std::move(cb), value = it->second.value]() { cb(value); });
+      lru_.splice(lru_.begin(), lru_, item->lru_pos);
+      Respond([cb = std::move(cb), value = item->value]() { cb(value); });
     }
   });
 }
@@ -85,15 +87,7 @@ void KvServer::Set(const std::string& key, std::string value, AckCallback cb) {
     if (failed_) {
       return;
     }
-    auto it = items_.find(key);
-    if (it == items_.end()) {
-      lru_.push_front(key);
-      items_[key] = Item{std::move(value), lru_.begin()};
-      EvictIfNeeded();
-    } else {
-      it->second.value = std::move(value);
-      Touch(key);
-    }
+    Store(key, std::move(value));
     Respond([cb = std::move(cb)]() { cb(true); });
   });
 }
@@ -112,22 +106,15 @@ void KvServer::Cas(const std::string& key, std::optional<std::string> expected,
     if (failed_) {
       return;
     }
-    auto it = items_.find(key);
-    const bool match = it == items_.end() ? !expected.has_value()
-                                          : (expected.has_value() && it->second.value == *expected);
+    const Item* item = items_.Find(key);
+    const bool match = item == nullptr ? !expected.has_value()
+                                       : (expected.has_value() && item->value == *expected);
     if (!match) {
       ++stats_.cas_conflicts;
       Respond([cb = std::move(cb)]() { cb(false); });
       return;
     }
-    if (it == items_.end()) {
-      lru_.push_front(key);
-      items_[key] = Item{std::move(value), lru_.begin()};
-      EvictIfNeeded();
-    } else {
-      it->second.value = std::move(value);
-      Touch(key);
-    }
+    Store(key, std::move(value));
     Respond([cb = std::move(cb)]() { cb(true); });
   });
 }
@@ -144,10 +131,9 @@ void KvServer::Delete(const std::string& key, AckCallback cb) {
     if (failed_) {
       return;
     }
-    auto it = items_.find(key);
-    if (it != items_.end()) {
-      lru_.erase(it->second.lru_pos);
-      items_.erase(it);
+    if (const Item* item = items_.Find(key)) {
+      lru_.erase(item->lru_pos);
+      items_.Erase(key);
       Respond([cb = std::move(cb)]() { cb(true); });
     } else {
       Respond([cb = std::move(cb)]() { cb(false); });
@@ -158,7 +144,7 @@ void KvServer::Delete(const std::string& key, AckCallback cb) {
 void KvServer::Fail() {
   audit_.Check();
   failed_ = true;
-  items_.clear();
+  items_.Clear();
   lru_.clear();
   busy_until_ = sim_->now();
 }

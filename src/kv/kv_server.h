@@ -14,8 +14,8 @@
 #include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
+#include "src/sim/flat_map.h"
 #include "src/sim/metrics.h"
 #include "src/sim/placement.h"
 #include "src/sim/simulator.h"
@@ -101,7 +101,8 @@ class KvServer {
   sim::Time ScheduleOp();
   // Delivers a response now, or after response_delay_ when gray-slow.
   void Respond(std::function<void()> deliver);
-  void Touch(const std::string& key);
+  // Stores `value` under `key` and marks it most recently used.
+  void Store(const std::string& key, std::string value);
   void EvictIfNeeded();
 
   sim::Simulator* sim_;
@@ -109,12 +110,13 @@ class KvServer {
   KvServerConfig cfg_;
   bool failed_ = false;
 
-  // Value + LRU position.
+  // Value + LRU position. A touch splices the item's list node to the
+  // front, so hits allocate nothing and lru_pos never changes.
   struct Item {
     std::string value;
     std::list<std::string>::iterator lru_pos;
   };
-  std::unordered_map<std::string, Item> items_;
+  sim::FlatMap<std::string, Item> items_;
   std::list<std::string> lru_;  // Front = most recently used.
 
   sim::Time busy_until_ = 0;

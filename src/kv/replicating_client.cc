@@ -1,5 +1,6 @@
 #include "src/kv/replicating_client.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/sim/sharded_sim.h"
@@ -57,8 +58,9 @@ ReplicatingClient::ReplicatingClient(sim::Simulator* simulator, std::vector<KvSe
                                      ReplicatingClientConfig config)
     : sim_(simulator), cfg_(config) {
   for (KvServer* s : servers) {
-    ring_.AddServer(s->id());
-    by_id_[s->id()] = s;
+    const std::uint32_t index = ring_.AddServer(s->id());
+    by_index_.resize(std::max<std::size_t>(by_index_.size(), index + 1));
+    by_index_[index] = s;
   }
   if (cfg_.registry != nullptr) {
     ctr_.gets = &cfg_.registry->GetCounter("kv.client.gets");
@@ -80,8 +82,9 @@ ReplicatingClient::ReplicatingClient(sim::Simulator* simulator, std::vector<KvSe
 
 std::vector<KvServer*> ReplicatingClient::ReplicasFor(const std::string& key) const {
   std::vector<KvServer*> out;
-  for (const std::string& id : ring_.Replicas(key, cfg_.replicas)) {
-    out.push_back(by_id_.at(id));
+  out.reserve(static_cast<std::size_t>(std::max(cfg_.replicas, 0)));
+  for (const std::uint32_t index : ring_.ReplicaIndices(key, cfg_.replicas)) {
+    out.push_back(by_index_[index]);
   }
   return out;
 }

@@ -34,7 +34,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/kv/hash_ring.h"
@@ -201,7 +200,7 @@ class ReplicatingClient {
   sim::Simulator* sim_;
   ReplicatingClientConfig cfg_;
   HashRing ring_;
-  std::unordered_map<std::string, KvServer*> by_id_;
+  std::vector<KvServer*> by_index_;  // Ring server index -> server.
   StatCounters ctr_;
   ClientOpStats stats_;
 };

@@ -167,13 +167,8 @@ void L4Fabric::RemoveInstanceEverywhere(net::IpAddr instance) {
     }
     // Drop SNAT pins owned by the dead instance so server-side return
     // traffic re-ECMPs to a survivor instead of blackholing.
-    for (auto it = snat_.begin(); it != snat_.end();) {
-      if (it->second == instance) {
-        it = snat_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    snat_.EraseIf(
+        [instance](const net::FiveTuple&, net::IpAddr owner) { return owner == instance; });
   });
 }
 
@@ -182,15 +177,15 @@ void L4Fabric::RegisterSnat(const net::FiveTuple& server_side, net::IpAddr owner
 }
 
 void L4Fabric::UnregisterSnat(const net::FiveTuple& server_side) {
-  OnShard([this, server_side]() { snat_.erase(server_side); });
+  OnShard([this, server_side]() { snat_.Erase(server_side); });
 }
 
 std::optional<net::IpAddr> L4Fabric::SnatOwner(const net::FiveTuple& server_side) const {
-  auto it = snat_.find(server_side);
-  if (it == snat_.end()) {
+  const net::IpAddr* owner = snat_.Find(server_side);
+  if (owner == nullptr) {
     return std::nullopt;
   }
-  return it->second;
+  return *owner;
 }
 
 void L4Fabric::HandlePacket(const net::Packet& packet) {

@@ -12,13 +12,13 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/l4lb/mux.h"
 #include "src/net/network.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
+#include "src/sim/flat_map.h"
 #include "src/sim/simulator.h"
 
 namespace sim {
@@ -124,7 +124,7 @@ class L4Fabric : public net::Node {
   net::Network* net_;
   std::vector<std::unique_ptr<Mux>> muxes_;
   bool snat_enabled_ = true;
-  std::unordered_map<net::FiveTuple, net::IpAddr, net::FiveTupleHash> snat_;
+  sim::FlatMap<net::FiveTuple, net::IpAddr, net::FiveTupleHash> snat_;
   FabricStats stats_;
   obs::Counter* packets_ctr_ = nullptr;
   obs::Counter* dropped_ctr_ = nullptr;

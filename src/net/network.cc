@@ -7,55 +7,6 @@
 
 namespace net {
 
-Network::Endpoint& Network::EndpointMap::Upsert(IpAddr ip) {
-  assert(ip != 0 && "0.0.0.0 is the empty-bucket sentinel");
-  if ((size_ + 1) * 10 > buckets_.size() * 7) {  // Keep load under 0.7.
-    std::vector<Bucket> old = std::move(buckets_);
-    buckets_.assign(old.size() * 2, Bucket{});
-    mask_ = buckets_.size() - 1;
-    for (const Bucket& b : old) {
-      if (b.key != 0) {
-        std::size_t i = Home(b.key);
-        while (buckets_[i].key != 0) {
-          i = (i + 1) & mask_;
-        }
-        buckets_[i] = b;
-      }
-    }
-  }
-  std::size_t i = Home(ip);
-  while (buckets_[i].key != 0 && buckets_[i].key != ip) {
-    i = (i + 1) & mask_;
-  }
-  if (buckets_[i].key == 0) {
-    buckets_[i].key = ip;
-    ++size_;
-  }
-  return buckets_[i].ep;
-}
-
-void Network::EndpointMap::Erase(IpAddr ip) {
-  std::size_t i = Home(ip);
-  while (buckets_[i].key != ip) {
-    if (buckets_[i].key == 0) {
-      return;
-    }
-    i = (i + 1) & mask_;
-  }
-  // Backward-shift deletion: close the probe gap so later cluster members
-  // whose home precedes the hole stay reachable.
-  buckets_[i] = Bucket{};
-  --size_;
-  for (std::size_t j = (i + 1) & mask_; buckets_[j].key != 0; j = (j + 1) & mask_) {
-    const std::size_t home = Home(buckets_[j].key);
-    if (((j - home) & mask_) >= ((j - i) & mask_)) {
-      buckets_[i] = buckets_[j];
-      buckets_[j] = Bucket{};
-      i = j;
-    }
-  }
-}
-
 Network::Network(sim::Simulator* simulator, std::uint64_t seed) : seed_(seed) {
   lanes_.push_back(std::make_unique<Lane>(simulator, seed, /*first_trace_id=*/1));
 }
@@ -118,7 +69,7 @@ void Network::ApplyLaneWrite(std::function<void(int lane)> fn) {
 void Network::Attach(IpAddr ip, Node* node, Region region) {
   const int owner = ResolveShard(ip);
   ApplyLaneWrite([this, ip, node, region, owner](int lane) {
-    lanes_[static_cast<std::size_t>(lane)]->endpoints.Upsert(ip) =
+    lanes_[static_cast<std::size_t>(lane)]->endpoints[ip] =
         Endpoint{node, region, false, owner};
   });
 }
@@ -131,7 +82,7 @@ void Network::Detach(IpAddr ip) {
 void Network::SetNodeDown(IpAddr ip, bool down) {
   const int owner = ResolveShard(ip);
   ApplyLaneWrite([this, ip, down, owner](int lane) {
-    EndpointMap& endpoints = lanes_[static_cast<std::size_t>(lane)]->endpoints;
+    auto& endpoints = lanes_[static_cast<std::size_t>(lane)]->endpoints;
     Endpoint* ep = endpoints.Find(ip);
     if (ep != nullptr) {
       ep->down = down;
@@ -140,14 +91,15 @@ void Network::SetNodeDown(IpAddr ip, bool down) {
     if (down) {
       // Marking an unattached address down is remembered (it stays
       // unroutable either way, but IsDown must report it).
-      endpoints.Upsert(ip) = Endpoint{nullptr, Region::kDatacenter, true, owner};
+      endpoints[ip] = Endpoint{nullptr, Region::kDatacenter, true, owner};
     }
   });
 }
 
 void Network::RestartNode(IpAddr ip) {
   ApplyLaneWrite([this, ip](int lane) {
-    Endpoint* ep = lanes_[static_cast<std::size_t>(lane)]->endpoints.Find(ip);
+    auto& endpoints = lanes_[static_cast<std::size_t>(lane)]->endpoints;
+    Endpoint* ep = endpoints.Find(ip);
     if (ep == nullptr || ep->node == nullptr) {
       return;
     }
@@ -155,6 +107,12 @@ void Network::RestartNode(IpAddr ip) {
     // touch the node object itself (ownership rule).
     if (ep->owner == lane) {
       ep->node->OnColdRestart();
+      // The restart may have attached or detached addresses, which moves
+      // table entries: look the endpoint up again.
+      ep = endpoints.Find(ip);
+      if (ep == nullptr) {
+        return;
+      }
     }
     ep->down = false;
   });

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/net/packet.h"
+#include "src/sim/flat_map.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 
@@ -208,52 +209,6 @@ class Network {
     int owner = 0;  // Owning shard (always 0 unsharded).
   };
 
-  // Open-addressing IpAddr -> Endpoint table with power-of-two buckets and
-  // linear probing: a per-packet lookup costs a multiply-shift and a short
-  // probe instead of std::unordered_map's divide-by-prime bucket mapping.
-  // Address 0 marks an empty bucket (0.0.0.0 is never attachable; it already
-  // serves as the "no encap" sentinel in Packet).
-  class EndpointMap {
-   public:
-    EndpointMap() : buckets_(kMinBuckets) {}
-
-    Endpoint* Find(IpAddr ip) {
-      for (std::size_t i = Home(ip);; i = (i + 1) & mask_) {
-        if (buckets_[i].key == ip) {
-          return &buckets_[i].ep;
-        }
-        if (buckets_[i].key == 0) {
-          return nullptr;
-        }
-      }
-    }
-    const Endpoint* Find(IpAddr ip) const {
-      return const_cast<EndpointMap*>(this)->Find(ip);
-    }
-
-    // Returns the entry for `ip`, default-constructed if absent.
-    Endpoint& Upsert(IpAddr ip);
-    void Erase(IpAddr ip);
-
-   private:
-    struct Bucket {
-      IpAddr key = 0;
-      Endpoint ep;
-    };
-    static constexpr std::size_t kMinBuckets = 64;
-
-    std::size_t Home(IpAddr ip) const {
-      // Fibonacci hashing; the high half of the product is well mixed.
-      return static_cast<std::size_t>(
-                 (static_cast<std::uint64_t>(ip) * 0x9E3779B97F4A7C15ull) >> 32) &
-             mask_;
-    }
-
-    std::vector<Bucket> buckets_;
-    std::size_t mask_ = kMinBuckets - 1;
-    std::size_t size_ = 0;
-  };
-
   // Per-shard slice of the fabric. Lane 0 is constructed from the Network's
   // (simulator, seed) arguments, so an unsharded network — exactly one lane
   // — executes the identical instruction/draw sequence the pre-lane build
@@ -265,7 +220,7 @@ class Network {
 
     sim::Simulator* sim;
     sim::Rng rng;
-    EndpointMap endpoints;  // Replica; all replicas converge at barriers.
+    sim::FlatMap<IpAddr, Endpoint> endpoints;  // Replica; converges at barriers.
     std::uint64_t next_trace_id;
     NetworkStats stats;
     // Freelist-backed pool of in-flight packets. A deque keeps slot

@@ -118,25 +118,24 @@ FlightRecorder::FlightRecorder(FlightRecorderConfig config) : cfg_(config) {
 
 void FlightRecorder::Record(const FlowId& flow, sim::Time at, EventType type,
                             std::uint32_t where, std::uint64_t detail) {
-  auto it = flows_.find(flow);
-  if (it == flows_.end()) {
+  Ring* ring = flows_.Find(flow);
+  if (ring == nullptr) {
     if (flows_.size() >= cfg_.max_flows) {
       ++dropped_flows_;
       return;
     }
-    it = flows_.emplace(flow, Ring{}).first;
-    it->second.buf.reserve(cfg_.events_per_flow);
+    ring = &flows_[flow];
+    ring->buf.reserve(cfg_.events_per_flow);
     order_.push_back(flow);
   }
-  Ring& ring = it->second;
   const TraceEvent ev{at, type, where, detail};
-  if (ring.buf.size() < cfg_.events_per_flow) {
-    ring.buf.push_back(ev);
+  if (ring->buf.size() < cfg_.events_per_flow) {
+    ring->buf.push_back(ev);
   } else {
-    ring.buf[ring.total % cfg_.events_per_flow] = ev;
+    ring->buf[ring->total % cfg_.events_per_flow] = ev;
     ++overwritten_events_;
   }
-  ++ring.total;
+  ++ring->total;
 }
 
 void FlightRecorder::RecordSystem(sim::Time at, EventType type, std::uint32_t where,
@@ -149,11 +148,11 @@ void FlightRecorder::RecordSystem(sim::Time at, EventType type, std::uint32_t wh
 }
 
 std::vector<TraceEvent> FlightRecorder::Events(const FlowId& flow) const {
-  auto it = flows_.find(flow);
-  if (it == flows_.end()) {
+  const Ring* found = flows_.Find(flow);
+  if (found == nullptr) {
     return {};
   }
-  const Ring& ring = it->second;
+  const Ring& ring = *found;
   if (ring.total <= cfg_.events_per_flow) {
     return ring.buf;
   }
@@ -206,7 +205,7 @@ void FlightRecorder::ExportJsonLines(std::ostream& os) const {
 }
 
 void FlightRecorder::Clear() {
-  flows_.clear();
+  flows_.Clear();
   order_.clear();
   system_.clear();
   dropped_flows_ = 0;

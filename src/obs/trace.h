@@ -22,9 +22,9 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <unordered_map>
 #include <vector>
 
+#include "src/sim/flat_map.h"
 #include "src/sim/time.h"
 
 namespace obs {
@@ -188,7 +188,7 @@ class FlightRecorder {
 
   // The flow's retained events, oldest first (ring order reconstructed).
   std::vector<TraceEvent> Events(const FlowId& flow) const;
-  bool Has(const FlowId& flow) const { return flows_.contains(flow); }
+  bool Has(const FlowId& flow) const { return flows_.Contains(flow); }
 
   const std::vector<TraceEvent>& system_events() const { return system_; }
 
@@ -217,7 +217,7 @@ class FlightRecorder {
   };
 
   FlightRecorderConfig cfg_;
-  std::unordered_map<FlowId, Ring, FlowIdHash> flows_;
+  sim::FlatMap<FlowId, Ring, FlowIdHash> flows_;
   std::vector<FlowId> order_;  // First-seen order for deterministic dumps.
   std::vector<TraceEvent> system_;
   std::uint64_t dropped_flows_ = 0;

@@ -67,9 +67,8 @@ BrowserClient::~BrowserClient() {
   // Fetches still in flight hold their endpoint, and the endpoint's
   // callbacks hold the fetch; drop the endpoints so the cycle unwinds when
   // demux_ releases its refs.
-  for (auto& [tuple, fetch] : demux_) {
-    fetch->ep.reset();
-  }
+  demux_.ForEach(
+      [](const net::FiveTuple&, std::shared_ptr<Fetch>& fetch) { fetch->ep.reset(); });
 }
 
 net::Port BrowserClient::NextPort() {
@@ -82,11 +81,11 @@ net::Port BrowserClient::NextPort() {
 
 void BrowserClient::HandlePacket(const net::Packet& p) {
   audit_.Check();
-  auto it = demux_.find(p.tuple());
-  if (it == demux_.end()) {
+  const std::shared_ptr<Fetch>* found = demux_.Find(p.tuple());
+  if (found == nullptr) {
     return;
   }
-  std::shared_ptr<Fetch> fetch = it->second;
+  std::shared_ptr<Fetch> fetch = *found;  // A copy: the callee may erase the entry.
   if (fetch->ep != nullptr) {
     fetch->ep->HandlePacket(p);
   }
@@ -240,7 +239,7 @@ void BrowserClient::StartAttempt(std::shared_ptr<Fetch> fetch) {
       return;
     }
     if (fetch->attempts <= fetch->opts.retries) {
-      demux_.erase(fetch->tuple);
+      demux_.Erase(fetch->tuple);
       StartAttempt(fetch);  // Browser retries on connection reset.
       return;
     }
@@ -269,7 +268,7 @@ void BrowserClient::StartAttempt(std::shared_ptr<Fetch> fetch) {
     }
     fetch->ep->Abort();
     if (fetch->attempts <= fetch->opts.retries) {
-      demux_.erase(fetch->tuple);
+      demux_.Erase(fetch->tuple);
       StartAttempt(fetch);  // Browser re-issues the request after timeout.
       return;
     }
@@ -298,10 +297,10 @@ void BrowserClient::FinishFetch(std::shared_ptr<Fetch> fetch, FetchResult result
   // intact endpoint would keep the whole cycle alive forever. The `finished`
   // guard protects a new fetch that reused the tuple in the meantime.
   sim_->After(sim::Sec(3), [this, tuple = fetch->tuple]() {
-    auto it = demux_.find(tuple);
-    if (it != demux_.end() && it->second->finished) {
-      it->second->ep.reset();
-      demux_.erase(it);
+    std::shared_ptr<Fetch>* found = demux_.Find(tuple);
+    if (found != nullptr && (*found)->finished) {
+      (*found)->ep.reset();
+      demux_.Erase(tuple);
     }
   });
   // Shed the heavy per-fetch state now rather than at the 3 s reclaim: the

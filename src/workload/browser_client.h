@@ -19,12 +19,12 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/http/parser.h"
 #include "src/net/network.h"
 #include "src/net/tcp_endpoint.h"
+#include "src/sim/flat_map.h"
 #include "src/sim/metrics.h"
 #include "src/sim/placement.h"
 #include "src/sim/random.h"
@@ -109,7 +109,7 @@ class BrowserClient : public net::Node {
   sim::Rng rng_;
   net::TcpConfig tcp_;
   net::Port next_port_ = 10'000;
-  std::unordered_map<net::FiveTuple, std::shared_ptr<Fetch>, net::FiveTupleHash> demux_;
+  sim::FlatMap<net::FiveTuple, std::shared_ptr<Fetch>, net::FiveTupleHash> demux_;
 };
 
 // Open-loop fixed-rate request source over a pool of clients.

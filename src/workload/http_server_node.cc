@@ -16,7 +16,7 @@ HttpServerNode::~HttpServerNode() = default;
 void HttpServerNode::Fail() {
   audit_.Check();
   failed_ = true;
-  conns_.clear();
+  conns_.Clear();
 }
 
 void HttpServerNode::Recover() {
@@ -41,18 +41,18 @@ void HttpServerNode::HandlePacket(const net::Packet& p) {
     return;
   }
   const net::FiveTuple peer = p.tuple();
-  auto it = conns_.find(peer);
-  if (it != conns_.end() && p.syn() && !p.ack_flag()) {
+  Conn* conn = Lookup(peer);
+  if (conn != nullptr && p.syn() && !p.ack_flag()) {
     // A new SYN on a tuple whose previous connection is done (TIME_WAIT or
     // closed): port reuse — accept the new connection.
-    const net::TcpState st = it->second->ep->state();
+    const net::TcpState st = conn->ep->state();
     if (st == net::TcpState::kTimeWait || st == net::TcpState::kClosed ||
         st == net::TcpState::kReset) {
-      conns_.erase(it);
-      it = conns_.end();
+      conns_.Erase(peer);
+      conn = nullptr;
     }
   }
-  if (it == conns_.end()) {
+  if (conn == nullptr) {
     if (p.syn() && !p.ack_flag()) {
       Accept(p);
     } else if (!p.rst()) {
@@ -60,12 +60,17 @@ void HttpServerNode::HandlePacket(const net::Packet& p) {
     }
     return;
   }
-  it->second->ep->HandlePacket(p);
+  conn->ep->HandlePacket(p);
   // Reclaim fully closed connections.
-  const net::TcpState st = it->second->ep->state();
+  const net::TcpState st = conn->ep->state();
   if (st == net::TcpState::kClosed || st == net::TcpState::kReset) {
-    conns_.erase(it);
+    conns_.Erase(peer);
   }
+}
+
+HttpServerNode::Conn* HttpServerNode::Lookup(const net::FiveTuple& peer) {
+  std::unique_ptr<Conn>* conn = conns_.Find(peer);
+  return conn == nullptr ? nullptr : conn->get();
 }
 
 void HttpServerNode::Accept(const net::Packet& syn) {
@@ -87,22 +92,22 @@ void HttpServerNode::Accept(const net::Packet& syn) {
   // would be use-after-free.
   c->ep->set_on_closed([this, peer]() {
     sim_->At(sim_->now(), [this, peer]() {
-      auto it = conns_.find(peer);
-      if (it == conns_.end()) {
+      Conn* closed = Lookup(peer);
+      if (closed == nullptr) {
         return;
       }
-      const net::TcpState st = it->second->ep->state();
+      const net::TcpState st = closed->ep->state();
       if (st == net::TcpState::kClosed || st == net::TcpState::kReset) {
-        conns_.erase(it);
+        conns_.Erase(peer);
       }
     });
   });
   c->ep->set_on_data([this, peer](std::string_view bytes) {
-    auto it = conns_.find(peer);
-    if (it == conns_.end()) {
+    Conn* found = Lookup(peer);
+    if (found == nullptr) {
       return;
     }
-    Conn& conn_ref = *it->second;
+    Conn& conn_ref = *found;
     std::string_view http_bytes = bytes;
     std::string decrypted;
     if (cfg_.tls_service_key != 0) {
@@ -145,8 +150,7 @@ void HttpServerNode::Accept(const net::Packet& syn) {
     while (conn_ref.parser.status() == http::ParseStatus::kComplete) {
       const http::Request req = conn_ref.parser.TakeRequest();
       Serve(peer, req);
-      auto again = conns_.find(peer);
-      if (again == conns_.end()) {
+      if (!conns_.Contains(peer)) {
         break;
       }
     }
@@ -158,11 +162,11 @@ void HttpServerNode::Serve(net::FiveTuple peer, const http::Request& req) {
   ++stats_.requests;
   ++window_requests_;
   sim_->After(cfg_.processing_delay, [this, peer, req]() {
-    auto it = conns_.find(peer);
-    if (it == conns_.end() || failed_) {
+    Conn* conn = Lookup(peer);
+    if (conn == nullptr || failed_) {
       return;
     }
-    net::TcpEndpoint* ep = it->second->ep.get();
+    net::TcpEndpoint* ep = conn->ep.get();
     http::Response resp;
     const WebObject* obj = catalog_ == nullptr ? nullptr : catalog_->Find(req.url);
     if (obj != nullptr) {
@@ -178,7 +182,7 @@ void HttpServerNode::Serve(net::FiveTuple peer, const http::Request& req) {
     const bool keep_alive = req.KeepAlive();
     resp.SetHeader("connection", keep_alive ? "keep-alive" : "close");
     std::string wire = resp.Serialize();
-    Conn& conn_ref = *it->second;
+    Conn& conn_ref = *conn;
     if (conn_ref.tls_ready) {
       // Encrypt the response into an application-data record.
       std::string sealed = tls::Crypt(

@@ -11,11 +11,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "src/http/parser.h"
 #include "src/net/network.h"
 #include "src/net/tcp_endpoint.h"
+#include "src/sim/flat_map.h"
 #include "src/sim/placement.h"
 #include "src/sim/random.h"
 #include "src/tls/tls.h"
@@ -82,6 +82,8 @@ class HttpServerNode : public net::Node {
     std::uint64_t tls_out_offset = 0;
   };
 
+  // The live connection for `peer`, or null.
+  Conn* Lookup(const net::FiveTuple& peer);
   void Accept(const net::Packet& syn);
   void Serve(net::FiveTuple peer, const http::Request& req);
 
@@ -92,7 +94,9 @@ class HttpServerNode : public net::Node {
   HttpServerConfig cfg_;
   bool failed_ = false;
 
-  std::unordered_map<net::FiveTuple, std::unique_ptr<Conn>, net::FiveTupleHash> conns_;
+  // Conns live behind unique_ptr: a Conn* stays valid while other
+  // connections come and go (the map moves its entries on growth and erase).
+  sim::FlatMap<net::FiveTuple, std::unique_ptr<Conn>, net::FiveTupleHash> conns_;
   HttpServerStats stats_;
   std::uint64_t window_requests_ = 0;
 };

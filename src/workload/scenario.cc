@@ -12,6 +12,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "src/kv/hash_ring.h"
 #include "src/sim/sharded_sim.h"
 #include "src/workload/open_loop.h"
 
@@ -376,6 +377,10 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
     } else if (cmd == "seed" || kCountFields.count(cmd) > 0) {
       if (!need(1) || !ParseInt(toks[1], &n) || n < 0) {
         Fail(error, line_no, "bad count for " + cmd);
+        return std::nullopt;
+      }
+      if (cmd == "kv-servers" && n > static_cast<long long>(kv::HashRing::kMaxServers)) {
+        Fail(error, line_no, "kv-servers above " + std::to_string(kv::HashRing::kMaxServers));
         return std::nullopt;
       }
       if (cmd == "seed") {

@@ -1,11 +1,12 @@
-// FlowTable tests: CRUD + reverse index behavior, the idle/VIP collection
-// sweeps, and — the reason the table is sharded at all — the guarantee that
-// ShardOf spreads realistic 5-tuple populations evenly enough that a future
-// per-shard worker split cannot be pathologically imbalanced.
+// FlowTable tests: CRUD + reverse index behavior, and the idle/VIP
+// collection sweeps, including the key order they hand keys out in.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "src/core/flow_table.h"
@@ -25,7 +26,7 @@ FlowKey Key(std::uint32_t client_lo, net::Port client_port = 40'000,
 }
 
 TEST(FlowTable, InsertFindErase) {
-  FlowTable table(4);
+  FlowTable table;
   EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.Find(Key(1)), nullptr);
 
@@ -47,52 +48,8 @@ TEST(FlowTable, InsertFindErase) {
   EXPECT_EQ(table.size(), 0u);
 }
 
-TEST(FlowTable, ShardDistributionWithinTwiceUniform) {
-  // 10k distinct realistic 5-tuples: a block of client IPs, several
-  // ephemeral ports each, two VIPs — every shard must hold between half and
-  // twice the uniform share.
-  const int kShards = 8;
-  FlowTable table(kShards);
-  const int kFlows = 10'000;
-  int inserted = 0;
-  for (std::uint32_t ip = 0; inserted < kFlows; ++ip) {
-    for (net::Port port = 32'768; port < 32'768 + 10 && inserted < kFlows; ++port) {
-      const net::IpAddr vip =
-          net::MakeIp(10, 200, 0, inserted % 2 == 0 ? 1 : 2);
-      table.Insert(Key(ip, port, vip), std::make_unique<LocalFlow>());
-      ++inserted;
-    }
-  }
-  ASSERT_EQ(table.size(), static_cast<std::size_t>(kFlows));
-
-  const double uniform = static_cast<double>(kFlows) / kShards;
-  std::size_t total = 0;
-  for (int s = 0; s < kShards; ++s) {
-    const std::size_t n = table.shard_size(s);
-    total += n;
-    EXPECT_GE(static_cast<double>(n), uniform / 2.0) << "shard " << s << " underloaded";
-    EXPECT_LE(static_cast<double>(n), uniform * 2.0) << "shard " << s << " overloaded";
-  }
-  EXPECT_EQ(total, static_cast<std::size_t>(kFlows));
-}
-
-TEST(FlowTable, ShardOfIsStableAndInRange) {
-  FlowTable table(8);
-  for (std::uint32_t i = 0; i < 1000; ++i) {
-    const int s = table.ShardOf(Key(i));
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, 8);
-    EXPECT_EQ(s, FlowTable::ShardOf(Key(i), 8));  // Static and member agree.
-  }
-  // One shard degenerates gracefully.
-  FlowTable single(1);
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(single.ShardOf(Key(i)), 0);
-  }
-}
-
 TEST(FlowTable, ForEachVisitsEveryFlow) {
-  FlowTable table(4);
+  FlowTable table;
   for (std::uint32_t i = 0; i < 100; ++i) {
     table.Insert(Key(i), std::make_unique<LocalFlow>());
   }
@@ -102,7 +59,7 @@ TEST(FlowTable, ForEachVisitsEveryFlow) {
 }
 
 TEST(FlowTable, CollectIdleSkipsActiveAndLookupPendingFlows) {
-  FlowTable table(4);
+  FlowTable table;
   LocalFlow& idle = table.Insert(Key(1), std::make_unique<LocalFlow>());
   idle.last_packet = sim::Msec(10);
   LocalFlow& fresh = table.Insert(Key(2), std::make_unique<LocalFlow>());
@@ -118,7 +75,7 @@ TEST(FlowTable, CollectIdleSkipsActiveAndLookupPendingFlows) {
 }
 
 TEST(FlowTable, CollectVipSelectsOnlyThatVip) {
-  FlowTable table(4);
+  FlowTable table;
   const net::IpAddr vip_a = net::MakeIp(10, 200, 0, 1);
   const net::IpAddr vip_b = net::MakeIp(10, 200, 0, 2);
   for (std::uint32_t i = 0; i < 10; ++i) {
@@ -133,18 +90,50 @@ TEST(FlowTable, CollectVipSelectsOnlyThatVip) {
   EXPECT_TRUE(table.CollectVip(net::MakeIp(10, 200, 0, 3)).empty());
 }
 
+TEST(FlowTable, CollectedKeysComeOutInKeyOrder) {
+  // Store removes and RSTs are issued in the order these sweeps return
+  // keys, so that order must be (vip, vip_port, client_ip, client_port),
+  // never the table's layout. Insert in a scrambled order over two VIPs,
+  // two VIP ports and ports that share a client ip.
+  FlowTable table;
+  const net::IpAddr vip_a = net::MakeIp(10, 200, 0, 1);
+  const net::IpAddr vip_b = net::MakeIp(10, 200, 0, 2);
+  std::vector<FlowKey> keys;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    const std::uint32_t scrambled = (i * 7919u) % 300u;
+    FlowKey k = Key(scrambled % 17, static_cast<net::Port>(40'000 + scrambled % 5),
+                    scrambled % 2 == 0 ? vip_a : vip_b);
+    k.vip_port = scrambled % 3 == 0 ? 443 : 80;
+    LocalFlow& f = table.Insert(k, std::make_unique<LocalFlow>());
+    f.last_packet = sim::Msec(10);
+    keys.push_back(k);
+  }
+  std::sort(keys.begin(), keys.end(), [](const FlowKey& a, const FlowKey& b) {
+    return std::tie(a.vip, a.vip_port, a.client_ip, a.client_port) <
+           std::tie(b.vip, b.vip_port, b.client_ip, b.client_port);
+  });
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  ASSERT_EQ(table.size(), keys.size());
+
+  EXPECT_EQ(table.CollectIdle(sim::Msec(500)), keys);
+  std::vector<FlowKey> vip_b_keys;
+  std::copy_if(keys.begin(), keys.end(), std::back_inserter(vip_b_keys),
+               [&](const FlowKey& k) { return k.vip == vip_b; });
+  EXPECT_EQ(table.CollectVip(vip_b), vip_b_keys);
+}
+
 TEST(FlowTable, ServerIndexRoundTrip) {
-  FlowTable table(4);
+  FlowTable table;
   const FlowKey key = Key(7);
   table.Insert(key, std::make_unique<LocalFlow>());
   const net::FiveTuple server_side{net::MakeIp(10, 3, 0, 2), key.vip, 80, key.client_port};
 
   EXPECT_FALSE(table.HasServer(server_side));
-  EXPECT_EQ(table.FindServer(server_side), nullptr);
+  EXPECT_FALSE(table.FindServer(server_side).has_value());
 
   table.BindServer(server_side, key);
   EXPECT_TRUE(table.HasServer(server_side));
-  ASSERT_NE(table.FindServer(server_side), nullptr);
+  ASSERT_TRUE(table.FindServer(server_side).has_value());
   EXPECT_EQ(*table.FindServer(server_side), key);
   EXPECT_EQ(table.server_index_size(), 1u);
 
@@ -154,7 +143,7 @@ TEST(FlowTable, ServerIndexRoundTrip) {
 }
 
 TEST(FlowTable, ClearDropsFlowsAndIndex) {
-  FlowTable table(4);
+  FlowTable table;
   for (std::uint32_t i = 0; i < 20; ++i) {
     const FlowKey key = Key(i);
     table.Insert(key, std::make_unique<LocalFlow>());

@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/kv/hash_ring.h"
@@ -20,13 +22,17 @@ TEST(Hashing, Deterministic) {
   EXPECT_EQ(Mix64(42), Mix64(42));
 }
 
+// Keys like "k7" are built with append: GCC 12 at -O3 misreports a
+// one-character literal + std::string as an overlapping memcpy
+// (-Wrestrict), which the warnings-as-errors build would reject.
+
 TEST(HashRing, LookupConsistentAcrossCalls) {
   HashRing ring;
   ring.AddServer("s1");
   ring.AddServer("s2");
   ring.AddServer("s3");
   for (int i = 0; i < 20; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = std::string("k").append(std::to_string(i));
     EXPECT_EQ(ring.Lookup(key), ring.Lookup(key));
   }
 }
@@ -79,7 +85,7 @@ TEST(HashRing, ReplicasAreDistinct) {
     ring.AddServer("s" + std::to_string(i));
   }
   for (int i = 0; i < 500; ++i) {
-    auto reps = ring.Replicas("k" + std::to_string(i), 3);
+    auto reps = ring.Replicas(std::string("k").append(std::to_string(i)), 3);
     ASSERT_EQ(reps.size(), 3u);
     std::set<std::string> uniq(reps.begin(), reps.end());
     EXPECT_EQ(uniq.size(), 3u);
@@ -108,6 +114,70 @@ TEST(HashRing, DuplicateAddIsIdempotent) {
   ring.RemoveServer("s");
   EXPECT_EQ(ring.server_count(), 0u);
   ring.RemoveServer("s");  // No crash.
+}
+
+// Pins replica placement for TCPStore-shaped keys. Flow state lands on the
+// servers this picks, so any change to the ring's hash points, collision
+// rule or walk moves every digest in the determinism suite; this test names
+// the cause. Expected values were recorded from the std::map ring the
+// sorted-vector ring replaced.
+TEST(HashRing, ReplicaPlacementPinnedForStoreKeys) {
+  HashRing ring;
+  for (int i = 0; i < 4; ++i) {
+    ring.AddServer("kv-" + std::to_string(i));
+  }
+  std::string all;
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint32_t vip = 0x0AC80001u + static_cast<std::uint32_t>(i % 3);
+    const std::uint32_t cip = 0x09000000u + static_cast<std::uint32_t>(i * 7919);
+    const int cport = 10000 + (i * 37) % 50000;
+    // "c:<vip>:<vport>:<cip>:<cport>" and "s:<backend>:<bport>:<vip>:<cport>".
+    const std::string key =
+        i % 2 == 0 ? "c:" + std::to_string(vip) + ":80:" + std::to_string(cip) + ":" +
+                         std::to_string(cport)
+                   : "s:" + std::to_string(0x0A030000u + static_cast<std::uint32_t>(i % 5)) +
+                         ":80:" + std::to_string(vip) + ":" + std::to_string(cport);
+    if (i == 0) {
+      EXPECT_EQ(key, "c:180879361:80:150994944:10000");
+      EXPECT_EQ(ring.Replicas(key, 2), (std::vector<std::string>{"kv-0", "kv-1"}));
+    }
+    if (i == 2) {
+      EXPECT_EQ(ring.Replicas(key, 2), (std::vector<std::string>{"kv-3", "kv-0"}));
+    }
+    for (const std::string& r : ring.Replicas(key, 2)) {
+      all += r + ",";
+    }
+    all += ";";
+  }
+  EXPECT_EQ(all.size(), 11'000u);
+  EXPECT_EQ(HashBytes(all), 15132517537607460528ull);
+}
+
+TEST(HashRing, ReplicaIndicesFollowAddOrder) {
+  HashRing ring;
+  EXPECT_EQ(ring.AddServer("a"), 0u);
+  EXPECT_EQ(ring.AddServer("b"), 1u);
+  EXPECT_EQ(ring.AddServer("a"), 0u);  // Duplicate: the existing index.
+  EXPECT_EQ(ring.AddServer("c"), 2u);
+  const std::vector<std::string> names{"a", "b", "c"};
+  for (int i = 0; i < 200; ++i) {
+    const std::string key = std::string("k").append(std::to_string(i));
+    std::vector<std::string> by_index;
+    for (const std::uint32_t s : ring.ReplicaIndices(key, 3)) {
+      by_index.push_back(names[s]);
+    }
+    EXPECT_EQ(by_index, ring.Replicas(key, 3));
+  }
+}
+
+TEST(HashRing, RefusesMoreServersThanTheExclusionMaskHolds) {
+  HashRing ring;
+  for (std::size_t i = 0; i < HashRing::kMaxServers; ++i) {
+    ring.AddServer("kv-" + std::to_string(i));
+  }
+  EXPECT_EQ(ring.ReplicaIndices("k", 3).size(), 3u);
+  EXPECT_THROW(ring.AddServer("one-too-many"), std::length_error);
+  EXPECT_EQ(ring.server_count(), HashRing::kMaxServers);
 }
 
 // Property: for any fleet size, K=2 replica sets stay balanced and distinct.
@@ -232,7 +302,8 @@ TEST_F(KvServerTest, QueueingDelaysOpsUnderLoad) {
   // 1000 ops submitted at t=0 with ~11 us service: completion spreads out.
   int completed = 0;
   for (int i = 0; i < 1000; ++i) {
-    server.Set("k" + std::to_string(i), "v", [&completed](bool) { ++completed; });
+    server.Set(std::string("k").append(std::to_string(i)), "v",
+               [&completed](bool) { ++completed; });
   }
   simulator.RunUntil(sim::Msec(1));
   EXPECT_LT(completed, 1000);
@@ -244,7 +315,7 @@ TEST_F(KvServerTest, QueueingDelaysOpsUnderLoad) {
 TEST_F(KvServerTest, CpuUtilizationTracksLoad) {
   server.ResetCpuWindow(0);
   for (int i = 0; i < 10'000; ++i) {
-    server.Set("k" + std::to_string(i), "v", [](bool) {});
+    server.Set(std::string("k").append(std::to_string(i)), "v", [](bool) {});
   }
   simulator.Run();
   // 10K ops * 11 us = 110 ms busy; over the elapsed window it must be > 0.
@@ -348,7 +419,7 @@ TEST_F(ReplicatingClientTest, DeleteRemovesAllReplicas) {
 
 TEST_F(ReplicatingClientTest, LatencyHistogramsPopulated) {
   for (int i = 0; i < 100; ++i) {
-    client->Set("k" + std::to_string(i), "v", [](bool) {});
+    client->Set(std::string("k").append(std::to_string(i)), "v", [](bool) {});
   }
   simulator.Run();
   EXPECT_EQ(client->stats().set_latency_us.count(), 100u);

@@ -226,7 +226,7 @@ TEST_F(RuleTableTest, EqualPriorityPreservesInsertionOrder) {
 
 TEST_F(RuleTableTest, RulesScannedCountsLinearScan) {
   for (int i = 0; i < 50; ++i) {
-    table.Add(SplitRule("r" + std::to_string(i), 100 - i, "/never/*", {B(1)}));
+    table.Add(SplitRule(std::string("r").append(std::to_string(i)), 100 - i, "/never/*", {B(1)}));
   }
   table.Add(SplitRule("last", 0, "*", {B(2)}));
   auto sel = table.Select(Req("/x"), Ctx());

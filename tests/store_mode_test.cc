@@ -312,8 +312,8 @@ TEST_P(StoreModeE2E, FlowStateRemovedAfterTeardown) {
 
 INSTANTIATE_TEST_SUITE_P(BothModes, StoreModeE2E,
                          ::testing::Values(StoreMode::kStateful, StoreMode::kStateless),
-                         [](const ::testing::TestParamInfo<StoreMode>& info) {
-                           return std::string(StoreModeName(info.param));
+                         [](const ::testing::TestParamInfo<StoreMode>& mode) {
+                           return std::string(StoreModeName(mode.param));
                          });
 
 // --- the headline contract: write counts per mode ---------------------------
